@@ -109,6 +109,25 @@ if grep -q "restarts=0" "$smoke_dir/stress-crash.txt"; then
 fi
 cmp "$smoke_dir/ref.ledger" "$smoke_dir/crash.ledger"
 
+echo "== benchmark package: tests and a short correct run of each workload =="
+# perf_e2e pins outcome digests and compares every daemon outcome with a
+# serial reference, so a change that moves outcome or record bytes fails
+# here rather than only in the benchmark pipeline. A 2-second untraced run
+# of each workload must end with a JSON line reporting "correct": true.
+cargo test --release --offline --manifest-path perf_e2e/Cargo.toml
+for workload in mix4_shared4 mix4_qos_churn serve_mix4; do
+  last=$(cargo run --release --quiet --offline --manifest-path perf_e2e/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct": true'*) echo "perf_e2e $workload: correct" ;;
+    *)
+      echo "perf_e2e $workload: last line does not report \"correct\": true" >&2
+      echo "$last" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "== perf smoke (non-gating, short throughput probe) =="
 # A short serial probe compared against the committed BENCH_engine.json
 # baseline. Informational only: wall-clock noise (shared CI boxes, thermal

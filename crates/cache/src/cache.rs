@@ -297,51 +297,104 @@ impl SetAssocCache {
     }
 }
 
+/// The snapshot tag of a replacement policy.
+fn policy_tag(policy: ReplacementPolicy) -> u8 {
+    match policy {
+        ReplacementPolicy::Lru => 0,
+        ReplacementPolicy::TreePlru => 1,
+        ReplacementPolicy::Random => 2,
+    }
+}
+
+/// A [`SnapshotErrorKind::Corrupt`] error naming the section being read.
+pub(crate) fn corrupt(r: &SectionReader<'_>, msg: impl std::fmt::Display) -> SimError {
+    SimError::snapshot(
+        SnapshotErrorKind::Corrupt,
+        format!("section '{}': {msg}", r.name()),
+    )
+}
+
+/// Sparse against construction: only state that differs from what
+/// [`SetAssocCache::new`] builds is written, so a checkpoint's size follows
+/// the live lines rather than the capacity. The valid slots go first, as
+/// `(slot index, tag, state)` in ascending slot order; the tags of invalid
+/// slots are dead (every read is guarded by the state byte) and are not
+/// written. The replacement planes follow (see [`ReplacementPlanes::save`]).
+///
+/// Restore validates the stream and scatters it into the planes; every
+/// slot the stream does not name comes back Invalid.
 impl Snapshot for SetAssocCache {
-    /// One pass over the flat planes — no per-set allocation, unlike the
-    /// retired per-set format (snap format v2).
     fn save(&self, w: &mut SectionBuf) {
         w.put_usize(self.num_sets);
-        w.put_u8(match self.repl.policy() {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::TreePlru => 1,
-            ReplacementPolicy::Random => 2,
-        });
-        w.put_u64_slice(&self.tags);
-        w.put_u8_slice(&self.states);
-        self.repl.save(w);
+        w.put_u8(policy_tag(self.repl.policy()));
+        w.put_usize(self.occupancy);
+        for (slot, &state) in self.states.iter().enumerate() {
+            if state != 0 {
+                w.put_usize(slot);
+                w.put_u64(self.tags[slot]);
+                w.put_u8(state);
+            }
+        }
+        self.repl.save(w, &self.states, self.ways);
         self.stats.save(w);
     }
 
     fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
         r.expect_len(self.num_sets, "cache sets")?;
         let tag = r.get_u8()?;
-        let want = match self.repl.policy() {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::TreePlru => 1,
-            ReplacementPolicy::Random => 2,
-        };
-        if tag != want {
-            return Err(SimError::snapshot(
-                SnapshotErrorKind::Corrupt,
-                format!("replacement-policy tag {tag} does not match configured policy"),
+        if tag != policy_tag(self.repl.policy()) {
+            return Err(corrupt(
+                r,
+                format_args!("replacement-policy tag {tag} does not match configured policy"),
             ));
         }
-        r.expect_len(self.tags.len(), "tag-plane entries")?;
-        for t in self.tags.iter_mut() {
-            *t = r.get_u64()?;
-        }
-        r.get_u8_slice_into(&mut self.states, "state-plane entries")?;
-        if let Some(&bad) = self.states.iter().find(|&&s| s > 3) {
-            return Err(SimError::snapshot(
-                SnapshotErrorKind::Corrupt,
-                format!("invalid line-state tag {bad}"),
+        let slots = self.states.len();
+        let count = r.get_usize()?;
+        if count > slots {
+            return Err(corrupt(
+                r,
+                format_args!("{count} valid slots in a cache of {slots}"),
             ));
         }
-        self.repl.restore(r)?;
-        self.stats.restore(r)?;
-        self.occupancy = self.states.iter().filter(|&&s| s != 0).count();
-        Ok(())
+        self.states.fill(0);
+        // The lowest slot index the next record may name: indices must
+        // strictly ascend, which also rules out repeats.
+        let mut next = 0;
+        for _ in 0..count {
+            let slot = r.get_usize()?;
+            if slot >= slots {
+                return Err(corrupt(
+                    r,
+                    format_args!("slot index {slot} outside a cache of {slots}"),
+                ));
+            }
+            if slot < next {
+                return Err(corrupt(
+                    r,
+                    format_args!("slot index {slot} repeats or descends"),
+                ));
+            }
+            let tag = r.get_u64()?;
+            if self.set_index(BlockAddr::new(tag)) != slot / self.ways {
+                return Err(corrupt(
+                    r,
+                    format_args!("tag {tag} does not map to the set of slot {slot}"),
+                ));
+            }
+            let state = r.get_u8()?;
+            if !(1..=3).contains(&state) {
+                return Err(corrupt(
+                    r,
+                    format_args!("invalid line-state tag {state} for slot {slot}"),
+                ));
+            }
+            self.tags[slot] = tag;
+            self.states[slot] = state;
+            next = slot + 1;
+        }
+        self.occupancy = count;
+        self.repl.restore(r, &self.states, self.ways)?;
+        self.stats.restore(r)
     }
 }
 
@@ -559,7 +612,7 @@ mod tests {
             let mut buf = SectionBuf::new();
             c.save(&mut buf);
             let mut back = SetAssocCache::new(geom, policy);
-            back.restore(&mut SectionReader::new("caches", buf.as_bytes()))
+            back.restore(&mut SectionReader::new("cache-lines", buf.as_bytes()))
                 .unwrap();
             assert_eq!(back.stats(), c.stats(), "{policy:?}");
             assert_eq!(back.occupancy(), c.occupancy(), "{policy:?}");
@@ -581,13 +634,13 @@ mod tests {
         let other_geom = CacheGeometry::new(4 * 8 * 64, 4, 1).unwrap();
         let mut other = SetAssocCache::new(other_geom, ReplacementPolicy::Lru);
         let err = other
-            .restore(&mut SectionReader::new("caches", buf.as_bytes()))
+            .restore(&mut SectionReader::new("cache-lines", buf.as_bytes()))
             .unwrap_err();
         assert!(err.to_string().contains("cache sets"), "{err}");
         // Policy mismatch is also typed, not a panic.
         let mut plru = SetAssocCache::new(geom, ReplacementPolicy::TreePlru);
         let err = plru
-            .restore(&mut SectionReader::new("caches", buf.as_bytes()))
+            .restore(&mut SectionReader::new("cache-lines", buf.as_bytes()))
             .unwrap_err();
         assert!(err.to_string().contains("policy"), "{err}");
     }

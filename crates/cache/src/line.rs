@@ -1,7 +1,6 @@
 //! Cache lines and their states.
 
-use consim_snap::{SectionBuf, SectionReader, Snapshot};
-use consim_types::{BlockAddr, SimError, SnapshotErrorKind};
+use consim_types::BlockAddr;
 use std::fmt;
 
 /// MESI-style state of a cached line.
@@ -83,45 +82,6 @@ impl CacheLine {
 impl fmt::Display for CacheLine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}@{}", self.block, self.state)
-    }
-}
-
-impl Snapshot for LineState {
-    fn save(&self, w: &mut SectionBuf) {
-        w.put_u8(match self {
-            LineState::Invalid => 0,
-            LineState::Shared => 1,
-            LineState::Exclusive => 2,
-            LineState::Modified => 3,
-        });
-    }
-
-    fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
-        *self = match r.get_u8()? {
-            0 => LineState::Invalid,
-            1 => LineState::Shared,
-            2 => LineState::Exclusive,
-            3 => LineState::Modified,
-            t => {
-                return Err(SimError::snapshot(
-                    SnapshotErrorKind::Corrupt,
-                    format!("invalid line-state tag {t}"),
-                ))
-            }
-        };
-        Ok(())
-    }
-}
-
-impl Snapshot for CacheLine {
-    fn save(&self, w: &mut SectionBuf) {
-        w.put_u64(self.block.raw());
-        self.state.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
-        self.block = BlockAddr::new(r.get_u64()?);
-        self.state.restore(r)
     }
 }
 

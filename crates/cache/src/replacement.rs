@@ -11,8 +11,9 @@
 //! (design-choice studies in DESIGN.md) and to validate that the
 //! characterization trends are not an artifact of true-LRU bookkeeping.
 
-use consim_snap::{SectionBuf, SectionReader, Snapshot};
-use consim_types::{SimError, SimRng, SnapshotErrorKind};
+use crate::cache::corrupt;
+use consim_snap::{SectionBuf, SectionReader};
+use consim_types::{SimError, SimRng};
 
 /// Which replacement policy a cache uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -174,56 +175,6 @@ impl ReplacementState {
                 let pick = rng.index(allowed);
                 nth_set_bit(mask, pick)
             }
-        }
-    }
-}
-
-impl Snapshot for ReplacementState {
-    fn save(&self, w: &mut SectionBuf) {
-        match self {
-            ReplacementState::Lru(order) => {
-                w.put_u8(0);
-                w.put_usize(order.len());
-                for &way in order {
-                    w.put_u32(u32::from(way));
-                }
-            }
-            ReplacementState::TreePlru(bits) => {
-                w.put_u8(1);
-                w.put_usize(bits.len());
-                for &bit in bits {
-                    w.put_bool(bit);
-                }
-            }
-            ReplacementState::Random(rng) => {
-                w.put_u8(2);
-                rng.save(w);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
-        let tag = r.get_u8()?;
-        match (tag, &mut *self) {
-            (0, ReplacementState::Lru(order)) => {
-                r.expect_len(order.len(), "LRU order entries")?;
-                for way in order.iter_mut() {
-                    *way = r.get_u32()? as u16;
-                }
-                Ok(())
-            }
-            (1, ReplacementState::TreePlru(bits)) => {
-                r.expect_len(bits.len(), "PLRU tree bits")?;
-                for bit in bits.iter_mut() {
-                    *bit = r.get_bool()?;
-                }
-                Ok(())
-            }
-            (2, ReplacementState::Random(rng)) => rng.restore(r),
-            (tag, _) => Err(SimError::snapshot(
-                SnapshotErrorKind::Corrupt,
-                format!("replacement-policy tag {tag} does not match configured policy"),
-            )),
         }
     }
 }
@@ -420,56 +371,155 @@ impl ReplacementPlanes {
         }
     }
 
-    /// Appends the planes' dynamic state (the policy tag is written by the
-    /// owning cache, which also validates it on restore).
-    pub(crate) fn save(&self, w: &mut SectionBuf) {
+    /// Appends the replacement state that differs from construction (the
+    /// policy tag is written by the owning cache, which also validates it
+    /// on restore). `states` is the owning cache's state plane.
+    ///
+    /// * LRU: the clock, then the stamp of each valid slot in ascending
+    ///   slot order. Stamps of invalid slots are dead — victims are only
+    ///   picked among valid ways and a fill always touches (see the type
+    ///   docs) — so they are not written.
+    /// * Tree-PLRU: the sets whose bits are not all clear, each as its set
+    ///   index and `ways - 1` bits.
+    /// * Random: the sets whose stream has moved off its seed
+    ///   (`SimRng::from_seed(set)`), each as its set index and the four
+    ///   state words.
+    pub(crate) fn save(&self, w: &mut SectionBuf, states: &[u8], ways: usize) {
         match self {
             ReplacementPlanes::Lru { stamps, clock } => {
                 w.put_u64(*clock);
-                w.put_u64_slice(stamps);
+                for (slot, &state) in states.iter().enumerate() {
+                    if state != 0 {
+                        w.put_u64(stamps[slot]);
+                    }
+                }
             }
             ReplacementPlanes::TreePlru { bits } => {
-                w.put_usize(bits.len());
-                for &bit in bits {
-                    w.put_bool(bit);
+                // A 1-way set has no tree bits (and an empty plane).
+                let touched: Vec<(usize, &[bool])> = bits
+                    .chunks_exact((ways - 1).max(1))
+                    .enumerate()
+                    .filter(|(_, set_bits)| set_bits.contains(&true))
+                    .collect();
+                w.put_usize(touched.len());
+                for (set, set_bits) in touched {
+                    w.put_usize(set);
+                    for &bit in set_bits {
+                        w.put_bool(bit);
+                    }
                 }
             }
             ReplacementPlanes::Random { rngs } => {
-                w.put_usize(rngs.len());
-                for rng in rngs {
-                    rng.save(w);
+                let moved: Vec<(usize, &SimRng)> = rngs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(set, rng)| rng.state() != SimRng::from_seed(set as u64).state())
+                    .collect();
+                w.put_usize(moved.len());
+                for (set, rng) in moved {
+                    w.put_usize(set);
+                    for word in rng.state() {
+                        w.put_u64(word);
+                    }
                 }
             }
         }
     }
 
-    /// Restores the planes' dynamic state in place.
-    pub(crate) fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
+    /// Restores the planes in place from a [`ReplacementPlanes::save`]
+    /// stream. `states` is the owning cache's already-restored state plane;
+    /// sets the stream does not name return to their construction state.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut SectionReader<'_>,
+        states: &[u8],
+        ways: usize,
+    ) -> Result<(), SimError> {
+        let num_sets = states.len() / ways;
         match self {
             ReplacementPlanes::Lru { stamps, clock } => {
                 *clock = r.get_u64()?;
-                r.expect_len(stamps.len(), "LRU stamp-plane entries")?;
-                for stamp in stamps.iter_mut() {
-                    *stamp = r.get_u64()?;
+                for (slot, &state) in states.iter().enumerate() {
+                    if state != 0 {
+                        let stamp = r.get_u64()?;
+                        if stamp > *clock {
+                            return Err(corrupt(
+                                r,
+                                format_args!("LRU stamp {stamp} is ahead of clock {clock}"),
+                            ));
+                        }
+                        stamps[slot] = stamp;
+                    }
                 }
                 Ok(())
             }
             ReplacementPlanes::TreePlru { bits } => {
-                r.expect_len(bits.len(), "PLRU tree bits")?;
-                for bit in bits.iter_mut() {
-                    *bit = r.get_bool()?;
+                bits.fill(false);
+                let per_set = ways - 1;
+                let mut next = 0;
+                for _ in 0..sparse_count(r, num_sets, "PLRU")? {
+                    let set = sparse_set(r, num_sets, &mut next, "PLRU")?;
+                    for bit in &mut bits[set * per_set..(set + 1) * per_set] {
+                        *bit = r.get_bool()?;
+                    }
                 }
                 Ok(())
             }
             ReplacementPlanes::Random { rngs } => {
-                r.expect_len(rngs.len(), "replacement RNG streams")?;
-                for rng in rngs.iter_mut() {
-                    rng.restore(r)?;
+                for (set, rng) in rngs.iter_mut().enumerate() {
+                    *rng = SimRng::from_seed(set as u64);
+                }
+                let mut next = 0;
+                for _ in 0..sparse_count(r, num_sets, "RNG")? {
+                    let set = sparse_set(r, num_sets, &mut next, "RNG")?;
+                    let mut state = [0u64; 4];
+                    for word in &mut state {
+                        *word = r.get_u64()?;
+                    }
+                    rngs[set] = SimRng::restore(set as u64, state);
                 }
                 Ok(())
             }
         }
     }
+}
+
+/// Reads the length of a sparse per-set list; it cannot exceed the set
+/// count.
+fn sparse_count(r: &mut SectionReader<'_>, num_sets: usize, what: &str) -> Result<usize, SimError> {
+    let count = r.get_usize()?;
+    if count > num_sets {
+        return Err(corrupt(
+            r,
+            format_args!("{count} {what} sets listed for a cache of {num_sets} sets"),
+        ));
+    }
+    Ok(count)
+}
+
+/// Reads one set index of a sparse per-set list: in range and strictly
+/// above the previous one (`next` is the lowest index still allowed).
+fn sparse_set(
+    r: &mut SectionReader<'_>,
+    num_sets: usize,
+    next: &mut usize,
+    what: &str,
+) -> Result<usize, SimError> {
+    let set = r.get_usize()?;
+    if set >= num_sets {
+        return Err(corrupt(
+            r,
+            format_args!("{what} set index {set} outside a cache of {num_sets} sets"),
+        ));
+    }
+    if set < *next {
+        return Err(corrupt(
+            r,
+            format_args!("{what} set index {set} repeats or descends"),
+        ));
+    }
+    *next = set + 1;
+    Ok(set)
 }
 
 /// Bitmask covering ways `[0, ways)`.

@@ -1848,12 +1848,12 @@ impl Simulation {
         save_items(&mut buf, &self.l0);
         save_items(&mut buf, &self.l1);
         save_items(&mut buf, &self.llc);
-        snap.section("caches", &buf)?;
+        snap.section("cache-lines", &buf)?;
 
         let mut buf = SectionBuf::new();
         self.directory.save(&mut buf);
         save_items(&mut buf, &self.dircaches);
-        snap.section("coherence", &buf)?;
+        snap.section("coherence-lines", &buf)?;
 
         let mut buf = SectionBuf::new();
         self.noc.save(&mut buf);
@@ -1897,14 +1897,14 @@ impl Simulation {
             finish_section(&r)?;
         }
         {
-            let mut r = snap.section("caches")?;
+            let mut r = snap.section("cache-lines")?;
             restore_items(&mut r, &mut sim.l0)?;
             restore_items(&mut r, &mut sim.l1)?;
             restore_items(&mut r, &mut sim.llc)?;
             finish_section(&r)?;
         }
         {
-            let mut r = snap.section("coherence")?;
+            let mut r = snap.section("coherence-lines")?;
             sim.directory.restore(&mut r)?;
             restore_items(&mut r, &mut sim.dircaches)?;
             finish_section(&r)?;

@@ -478,7 +478,7 @@ mod snap {
     use super::*;
     use consim_types::config::{CacheGeometry, MachineConfigBuilder, SharingDegree};
     use consim_types::SnapshotErrorKind;
-    use consim_workload::WorkloadProfileBuilder;
+    use consim_workload::{WorkloadKind, WorkloadProfileBuilder};
 
     /// A small machine (256 KB LLC) so checkpoints stay compact and runs
     /// stay fast while still exercising banking, coherence, and contention.
@@ -666,6 +666,93 @@ mod snap {
         assert_eq!(a, b, "identical states must serialize identically");
     }
 
+    /// Resumes `bytes` and checkpoints the result again: the cache planes
+    /// are written sparse against construction, so a resumed machine must
+    /// serialize to exactly the bytes it was restored from.
+    pub(super) fn assert_recheckpoint_is_identical(bytes: &[u8], ctx: &str) {
+        let resumed = Simulation::resume(bytes).unwrap();
+        let mut again = Vec::new();
+        resumed.checkpoint(&mut again).unwrap();
+        assert!(again == bytes, "{ctx}: re-checkpoint differs");
+    }
+
+    #[test]
+    fn checkpoint_resume_checkpoint_is_byte_identical() {
+        for cut in [1, 500, 3_000, 7_500] {
+            let bytes = checkpoint_at(config(12, SchedulingPolicy::Affinity, None), cut);
+            assert_recheckpoint_is_identical(&bytes, &format!("cut at {cut}"));
+        }
+        let mut before_first_advance = Vec::new();
+        Simulation::new(config(12, SchedulingPolicy::Affinity, None))
+            .unwrap()
+            .checkpoint(&mut before_first_advance)
+            .unwrap();
+        assert_recheckpoint_is_identical(&before_first_advance, "before the first advance");
+    }
+
+    /// Renames one section of a checkpoint, leaving its payload and
+    /// checksum (which covers only the payload) intact.
+    fn rename_section(bytes: &[u8], from: &str, to: &str) -> Vec<u8> {
+        let mut framed = (from.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(from.as_bytes());
+        let at = bytes
+            .windows(framed.len())
+            .position(|w| w == framed)
+            .unwrap_or_else(|| panic!("checkpoint has no '{from}' section"));
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(&(to.len() as u32).to_le_bytes());
+        out.extend_from_slice(to.as_bytes());
+        out.extend_from_slice(&bytes[at + framed.len()..]);
+        out
+    }
+
+    #[test]
+    fn dense_cache_sections_from_older_builds_are_corrupt() {
+        // Older builds wrote dense cache planes under the section names
+        // `caches` and `coherence`; the sparse layout is versioned by its
+        // new names, so such a file fails the reader's layout check.
+        let bytes = checkpoint_at(config(6, SchedulingPolicy::Affinity, None), 1_200);
+        for (now, old) in [("cache-lines", "caches"), ("coherence-lines", "coherence")] {
+            let err = Simulation::resume(rename_section(&bytes, now, old).as_slice())
+                .expect_err("an old section name must be rejected");
+            assert_eq!(
+                err.snapshot_kind(),
+                Some(SnapshotErrorKind::Corrupt),
+                "{old}: {err}"
+            );
+            assert!(err.to_string().contains(now), "{err}");
+        }
+    }
+
+    #[test]
+    fn paper_default_checkpoint_before_first_advance_is_small() {
+        // The 16 MB LLC, 16 L1s and 16 directory caches hold ~400k slots;
+        // an empty machine must not pay for them (dense planes were
+        // ~7 MB here).
+        let mut b = SimulationConfig::builder();
+        b.machine(MachineConfig::paper_default())
+            .refs_per_vm(1_000)
+            .seed(1);
+        for kind in [
+            WorkloadKind::TpcH,
+            WorkloadKind::TpcW,
+            WorkloadKind::SpecJbb,
+            WorkloadKind::SpecWeb,
+        ] {
+            b.workload(kind.profile());
+        }
+        let mut bytes = Vec::new();
+        Simulation::new(b.build().unwrap())
+            .unwrap()
+            .checkpoint(&mut bytes)
+            .unwrap();
+        assert!(
+            bytes.len() < 64 * 1024,
+            "paper-default checkpoint is {} bytes",
+            bytes.len()
+        );
+    }
+
     #[test]
     fn advance_past_completion_stays_complete() {
         let mut sim = Simulation::new(config(2, SchedulingPolicy::Affinity, None)).unwrap();
@@ -826,7 +913,7 @@ mod churn {
     //! of the birth–death process, and the hard checkpoint seams (cut
     //! exactly on a spawn, mid-migration, and retire-then-resume).
 
-    use super::snap::{checkpoint_at, fingerprint};
+    use super::snap::{assert_recheckpoint_is_identical, checkpoint_at, fingerprint};
     use super::*;
     use crate::churn::ChurnAction;
     use consim_types::config::{CacheGeometry, ChurnPolicy, MachineConfigBuilder, SharingDegree};
@@ -1099,6 +1186,25 @@ mod churn {
                 .run()
                 .unwrap();
             assert_eq!(fingerprint(&resumed), expected, "cut at {cut} accesses");
+        }
+    }
+
+    #[test]
+    fn churned_checkpoint_resume_checkpoint_is_byte_identical() {
+        // Migration scrubs invalidate private lines but leave their tags
+        // and LRU stamps behind in the planes; those slots are dead, so a
+        // resumed machine (which never saw them) must serialize the same.
+        let (out, probe) = run_probed(42);
+        assert!(out.churn.expect("churned").l1_lines_invalidated > 0);
+        let [at, after] = cuts_around(
+            &probe,
+            |a| matches!(a, ChurnAction::Migrate { .. }),
+            "migration",
+        );
+        let total = probe.steps;
+        for cut in [at, after, (after + total) / 2, total - 1] {
+            let bytes = checkpoint_at(config(42, Some(policy())), cut);
+            assert_recheckpoint_is_identical(&bytes, &format!("churned cut at {cut}"));
         }
     }
 

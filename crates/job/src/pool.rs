@@ -83,7 +83,8 @@ pub struct PoolReport {
     pub simulated: u64,
     /// Whether the fault injector tripped.
     pub faulted: bool,
-    /// Total worker-busy time across the pool.
+    /// Total worker-busy time across the pool: building, advancing and
+    /// journaling (checkpoints and outcome records) the jobs it simulated.
     pub busy_seconds: f64,
 }
 
@@ -274,24 +275,25 @@ fn worker_loop(shared: &Shared) {
             continue;
         }
         let Active { job, mut sim, busy } = active;
+        // A slice's busy time runs through its journal write (checkpoint
+        // or outcome record): the worker is occupied by the job for all of
+        // it.
         let start = Instant::now();
         match sim.advance(slice, None) {
             Ok(RunStatus::Running) => {
-                let busy = busy + start.elapsed();
                 if shared.config.checkpoint_every.is_some() {
                     if let Some(journal) = &shared.journal {
                         if let Err(e) = journal.store_checkpoint(&job, &sim) {
-                            finish_simulated(shared, &job, Err(e), busy);
+                            finish_simulated(shared, &job, Err(e), busy + start.elapsed());
                             continue;
                         }
                     }
                 }
+                let busy = busy + start.elapsed();
                 live.push_back(Active { job, sim, busy });
             }
             Ok(RunStatus::Complete) => {
-                let result = sim.finish();
-                let busy = busy + start.elapsed();
-                let result = result.and_then(|outcome| {
+                let result = sim.finish().and_then(|outcome| {
                     if let Some(journal) = &shared.journal {
                         journal.store_outcome(&job, &outcome)?;
                         // The record supersedes the mid-run checkpoint.
@@ -299,7 +301,7 @@ fn worker_loop(shared: &Shared) {
                     }
                     Ok(outcome)
                 });
-                finish_simulated(shared, &job, result, busy);
+                finish_simulated(shared, &job, result, busy + start.elapsed());
             }
             Err(e) => finish_simulated(shared, &job, Err(e), busy + start.elapsed()),
         }
@@ -498,7 +500,7 @@ mod tests {
                 workers: 1,
                 time_slice: Some(100),
                 max_live: 2,
-                checkpoint_every: Some(200),
+                checkpoint_every: Some(50),
                 fault_after: None,
             },
             Arc::clone(&queue) as Arc<dyn JobQueue>,
@@ -524,6 +526,45 @@ mod tests {
             );
         }
         assert_eq!(journal.completed().unwrap().len(), 4, "all journaled");
+    }
+
+    /// Busy time covers a journaled slice's checkpoint write. With
+    /// 50-access slices the worker spends most of its time writing
+    /// checkpoints, so busy time that stopped at the end of `advance`
+    /// would fall far short of the pool's wall time.
+    #[test]
+    fn busy_time_covers_journaled_checkpoints() {
+        let scratch = ScratchDir::new("busy");
+        let journal = JobJournal::open(&scratch.0).unwrap();
+        let queue = Arc::new(LiveQueue::new());
+        // A prewarmed LLC gives every checkpoint live lines to write while
+        // a 50-access slice stays cheap.
+        let mut cfg = config(1);
+        cfg.prewarm_llc = true;
+        cfg.warmup_refs_per_vm = 0;
+        queue.push(0, cfg).unwrap();
+        queue.close();
+        let started = Instant::now();
+        let pool = WorkerPool::start(
+            PoolConfig {
+                workers: 1,
+                checkpoint_every: Some(50),
+                ..PoolConfig::default()
+            },
+            Arc::clone(&queue) as Arc<dyn JobQueue>,
+            Arc::new(CollectingSink::new()) as Arc<dyn ResultSink>,
+            Some(journal),
+            prewarm_cache(),
+            None,
+        );
+        let report = pool.join();
+        let wall = started.elapsed().as_secs_f64();
+        assert_eq!(report.simulated, 1);
+        assert!(
+            report.busy_seconds >= 0.75 * wall,
+            "busy {:.4} s of a {wall:.4} s pool run",
+            report.busy_seconds
+        );
     }
 
     /// Satellite regression: a pool that winds down early (fault injector)

@@ -56,7 +56,17 @@ use consim_types::{Cycle, SimError, SimRng, SnapshotErrorKind};
 /// File magic: the first four bytes of every snapshot.
 pub const MAGIC: [u8; 4] = *b"CSNP";
 
-/// Current format version. Bump on any incompatible layout change.
+/// Container format version: the header, the section framing (name,
+/// length, payload, checksum) and the record formats that share this
+/// header — outcome, spec and config records and the daemon's wire form.
+/// Bump it only when one of those changes; a bump makes every existing
+/// journal record unreadable ([`SnapshotErrorKind::BadVersion`]).
+///
+/// A checkpoint section's *layout* is versioned by the section's name
+/// instead. A layout change renames the section, so a checkpoint written
+/// by an older build fails the reader's name check as
+/// [`SnapshotErrorKind::Corrupt`] ("expected section …") while records
+/// keep their bytes.
 ///
 /// Version history:
 /// * 1 — per-set AoS cache sections (`Option<CacheLine>` per way).
@@ -72,6 +82,12 @@ pub const MAGIC: [u8; 4] = *b"CSNP";
 ///   gains the next churn boundary plus the churn runtime state (active
 ///   flags, arrival ordinals, bindings, statistics); older versions are
 ///   rejected as [`SnapshotErrorKind::BadVersion`].
+///
+/// Section-layout changes within version 4:
+/// * The dense `caches` and `coherence` sections (every slot's tag, state
+///   and LRU stamp) became the sparse `cache-lines` and `coherence-lines`
+///   sections, which write only the live slots and the replacement state
+///   that differs from construction.
 pub const VERSION: u32 = 4;
 
 /// FNV-1a hash of a byte slice — the section checksum function.
@@ -139,21 +155,25 @@ impl SectionBuf {
     }
 
     /// Appends a single byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.bytes.push(v);
     }
 
     /// Appends a `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `usize` (encoded as `u64`).
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
@@ -164,6 +184,7 @@ impl SectionBuf {
     }
 
     /// Appends a boolean as one byte.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
     }
@@ -227,6 +248,7 @@ impl<'a> SectionReader<'a> {
         self.data.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SimError> {
         if self.remaining() < n {
             return Err(truncated(format!(
@@ -241,21 +263,25 @@ impl<'a> SectionReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, SimError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, SimError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, SimError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads a `usize` (stored as `u64`).
+    #[inline]
     pub fn get_usize(&mut self) -> Result<usize, SimError> {
         let v = self.get_u64()?;
         usize::try_from(v).map_err(|_| {
