@@ -38,6 +38,9 @@ echo "== churn mutation self-tests (IgnoreRetire, SkipMigrationInvalidation) =="
 cargo test --release -q -p consim-check ignore_retire_mutation_is_detected
 cargo test --release -q -p consim-check skip_migration_invalidation_mutation_is_detected
 
+echo "== cache reference self-test (mismatched replacement policies must diverge) =="
+cargo test --release -q -p consim-check --test cache_vs_naive mismatched_policies_are_detected
+
 echo "== lifecycle churn smoke (every case churned, fixed seed) =="
 cargo run --release -q -p consim-check --bin fuzz -- --cases 200 --seed 23 --churn
 

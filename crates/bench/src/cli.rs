@@ -300,44 +300,31 @@ impl TraceSession {
     /// directory, the per-job configuration digests of its committed
     /// `job-<digest>.bin` records, and a content digest of every
     /// journal/checkpoint record (sorted by path, so the manifest is
-    /// deterministic). The journal namespace is flat; legacy per-batch
-    /// subdirectories from pre-job-layer runs are still digested. Call
-    /// after the run, when the journal holds its final records.
+    /// deterministic). The journal namespace is flat: subdirectories are
+    /// not part of it and are ignored. Call after the run, when the journal
+    /// holds its final records.
     pub fn note_journal(&mut self, dir: &Path) {
         self.resumed_from = Some(dir.display().to_string());
         let mut records: Vec<(PathBuf, String)> = Vec::new();
         let mut jobs: Vec<String> = Vec::new();
-        let mut digest_records_in = |dir: &Path| {
-            let Ok(files) = std::fs::read_dir(dir) else {
-                return;
-            };
-            for file in files.filter_map(Result::ok) {
-                let path = file.path();
-                let is_record = path.extension().is_some_and(|x| x == "bin" || x == "ckpt");
-                if !is_record {
-                    continue;
-                }
-                if let Ok(bytes) = std::fs::read(&path) {
-                    records.push((path, digest_of(bytes.as_slice())));
-                }
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for path in entries.filter_map(Result::ok).map(|e| e.path()) {
+            let is_record = path.extension().is_some_and(|x| x == "bin" || x == "ckpt");
+            if !is_record || !path.is_file() {
+                continue;
             }
-        };
-        digest_records_in(dir);
-        let entries = match std::fs::read_dir(dir) {
-            Ok(entries) => entries,
-            Err(_) => return,
-        };
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.is_dir() {
-                digest_records_in(&path);
-            } else if let Some(digest) = path
+            if let Some(digest) = path
                 .file_name()
                 .and_then(|n| n.to_str())
                 .and_then(|n| n.strip_prefix("job-"))
                 .and_then(|n| n.strip_suffix(".bin"))
             {
                 jobs.push(digest.to_string());
+            }
+            if let Ok(bytes) = std::fs::read(&path) {
+                records.push((path, digest_of(bytes.as_slice())));
             }
         }
         records.sort();
@@ -540,28 +527,24 @@ mod tests {
         std::fs::write(dir.join("job-00000000000000bb.bin"), b"one").unwrap();
         std::fs::write(dir.join("job-00000000000000aa.ckpt"), b"zero").unwrap();
         std::fs::write(dir.join("notes.txt"), b"ignored").unwrap();
-        // Legacy per-batch subdirectory: still digested, but its records
-        // don't contribute per-job digests (different naming scheme).
+        // A stray subdirectory (even one holding record-named files) is
+        // not part of the flat journal and is ignored.
         let batch = dir.join("batch-0123");
         std::fs::create_dir_all(&batch).unwrap();
-        std::fs::write(batch.join("job-0001.bin"), b"legacy").unwrap();
+        std::fs::write(batch.join("job-0001.bin"), b"stray").unwrap();
         let mut session = TraceSession::create(&dir.join("trace")).unwrap();
         session.note_journal(&dir);
         assert_eq!(
             session.checkpoints.len(),
-            3,
-            "only .bin/.ckpt records count"
+            2,
+            "only top-level .bin/.ckpt records count"
         );
-        let expected = vec![
-            digest_of(b"legacy".as_slice()),
-            digest_of(b"zero".as_slice()),
-            digest_of(b"one".as_slice()),
-        ];
+        let expected = vec![digest_of(b"zero".as_slice()), digest_of(b"one".as_slice())];
         assert_eq!(session.checkpoints, expected, "sorted by path");
         assert_eq!(
             session.jobs,
             vec!["00000000000000bb".to_string()],
-            "per-job digests come from committed .bin names at the top level"
+            "per-job digests come from committed .bin names"
         );
         assert_eq!(
             session.resumed_from.as_deref(),

@@ -5,10 +5,10 @@
 //! empty), and the replacement planes ([`ReplacementPlanes`]). A set probe
 //! is a stride-limited scan over adjacent words instead of pointer-chasing
 //! `Option<CacheLine>`, which is what the engine's hot path spends most of
-//! its time doing. The per-set AoS formulation ([`crate::set::CacheSet`])
-//! is retained as the executable specification; the differential tests in
-//! `crates/cache/tests/soa_vs_aos.rs` pin this implementation to it
-//! operation by operation.
+//! its time doing. The executable specification is `NaiveCache` in the
+//! `consim-check` crate, a per-set model written for clarity; the
+//! differential test `crates/check/tests/cache_vs_naive.rs` pins this
+//! implementation to it operation by operation under every policy.
 
 use crate::line::{CacheLine, LineState};
 use crate::replacement::{ReplacementPlanes, ReplacementPolicy};
@@ -204,10 +204,9 @@ impl SetAssocCache {
         self.insert_masked(block, state, mask, true)
     }
 
-    /// Shared fill path. `masked` only affects which replacement entry
-    /// point is used so the RNG draw sequence matches the per-set
-    /// reference exactly (plain inserts draw `index(ways)`, masked ones
-    /// `index(popcount)`).
+    /// Shared fill path. `masked` only selects the replacement entry point:
+    /// with a full mask both pick the same way and draw the same RNG stream
+    /// (`index(ways)`), so plain inserts take the cheaper unmasked scan.
     fn insert_masked(
         &mut self,
         block: BlockAddr,

@@ -4,10 +4,7 @@
 //!
 //! * [`line`] — cache lines and their coherence-relevant state;
 //! * [`replacement`] — pluggable replacement policies (true LRU, tree-PLRU,
-//!   random), both the flat per-cache planes the production cache uses and
-//!   the per-set reference formulation;
-//! * [`set`] — one associative set (AoS reference model for the
-//!   differential property tests);
+//!   random), stored as flat per-cache planes;
 //! * [`cache`] — a whole set-associative cache ([`SetAssocCache`]), stored
 //!   as flat struct-of-arrays tag/state/recency planes;
 //! * [`stats`] — per-cache hit/miss/eviction counters.
@@ -36,7 +33,6 @@
 pub mod cache;
 pub mod line;
 pub mod replacement;
-pub mod set;
 pub mod stats;
 
 pub use cache::SetAssocCache;

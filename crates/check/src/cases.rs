@@ -57,6 +57,7 @@ pub struct FuzzCase {
     pub llc_bank_sets: usize,
     pub llc_ways: usize,
     pub llc_partitioning: LlcPartitioning,
+    pub llc_replacement: ReplacementPolicy,
     pub memory_controllers: usize,
     pub directory_cache_entries: usize,
     pub instructions_per_memory_op: u64,
@@ -134,6 +135,17 @@ impl FuzzCase {
             llc_bank_sets: pick(&mut rng, SET_CHOICES),
             llc_ways: pick(&mut rng, WAY_CHOICES),
             llc_partitioning: LlcPartitioning::None,
+            // Drawn from its own stream (below the main draws would shift
+            // every later field), so a seed builds the same machine it did
+            // before replacement policies were fuzzed.
+            llc_replacement: pick(
+                &mut SimRng::from_seed(case_seed).derive("check/llc-replacement"),
+                &[
+                    ReplacementPolicy::Lru,
+                    ReplacementPolicy::TreePlru,
+                    ReplacementPolicy::Random,
+                ],
+            ),
             memory_controllers: 1 + rng.index(num_cores),
             directory_cache_entries: 8 * (1 + rng.index(8)),
             instructions_per_memory_op: 1 + rng.below(4),
@@ -344,6 +356,10 @@ impl FuzzCase {
             vm.handoff_segments = vm.handoff_segments.max(vm.threads);
             vm.handoff_segment_blocks = vm.handoff_segment_blocks.max(1);
         }
+        // Tree-PLRU needs a power-of-two associativity.
+        if self.llc_replacement == ReplacementPolicy::TreePlru && !self.llc_ways.is_power_of_two() {
+            self.llc_replacement = ReplacementPolicy::Lru;
+        }
         // Way partitioning must fit the final VM count and LLC shape:
         // with fewer ways than VMs no partitioning is possible, and an
         // explicit split that no longer matches (a shrink dropped a VM or
@@ -515,7 +531,7 @@ impl FuzzCase {
             .seed(self.sim_seed)
             .refs_per_vm(self.refs_per_vm)
             .warmup_refs_per_vm(self.warmup_refs_per_vm)
-            .llc_replacement(ReplacementPolicy::Lru)
+            .llc_replacement(self.llc_replacement)
             .prewarm_llc(self.prewarm_llc)
             .audit(true);
         for profile in self.profiles() {
@@ -543,6 +559,7 @@ impl FuzzCase {
             + footprint * 10
             + cache_lines * 5
             + u64::from(self.prewarm_llc) * 1_000
+            + u64::from(self.llc_replacement != ReplacementPolicy::Lru) * 100
             + u64::from(self.reschedule_every.is_some()) * 1_000
             // Churn costs the most of the feature knobs so the shrinker's
             // drop-churn-first candidate is always a strict size decrease.
@@ -635,6 +652,26 @@ mod tests {
                 c.case_seed
             );
         }
+    }
+
+    #[test]
+    fn every_llc_replacement_policy_appears() {
+        let cases: Vec<FuzzCase> = (0..300).map(FuzzCase::generate).collect();
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::TreePlru,
+            ReplacementPolicy::Random,
+        ] {
+            let n = cases.iter().filter(|c| c.llc_replacement == policy).count();
+            assert!(n >= 60, "only {n} of 300 cases use {policy:?}");
+        }
+        // A non-power-of-two LLC (reachable by replaying a hand-edited
+        // case) degrades tree-PLRU to LRU.
+        let mut case = FuzzCase::generate(1);
+        case.llc_replacement = ReplacementPolicy::TreePlru;
+        case.llc_ways = 3;
+        case.canonicalize();
+        assert_eq!(case.llc_replacement, ReplacementPolicy::Lru);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn model_for(
     machine: &consim_types::config::MachineConfig,
     mutation: Option<Mutation>,
 ) -> RefModel {
-    let mut model = RefModel::new(machine, case.vms.len());
+    let mut model = RefModel::new(machine, case.vms.len(), case.llc_replacement);
     if let Some(policy) = machine.churn.clone() {
         model = model.with_churn(
             policy,

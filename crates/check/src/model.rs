@@ -9,10 +9,12 @@
 //! counters, LLC replication, and LLC occupancy.
 //!
 //! Nothing here is shared with the engine except the small value types
-//! (`LineState`, `MissSource`): caches are vectors of `(block, state,
-//! stamp)` tuples with a global logical clock instead of per-way recency
-//! bits, the directory is a `BTreeMap` of owner/sharer sets, and mesh
-//! distances are recomputed from first principles. No NoC timing, no
+//! (`LineState`, `CacheLine`, `ReplacementPolicy`, `MissSource`): caches
+//! are per-set vectors of `(block, state, way, stamp)` slots with a
+//! logical clock instead of flat recency planes ([`NaiveCache`], which is
+//! also the specification the engine's cache is tested against), the
+//! directory is a `BTreeMap` of owner/sharer sets, and mesh distances are
+//! recomputed from first principles. No NoC timing, no
 //! memory-controller calendars, no statistics plumbing — time does not
 //! exist in this model, only contents.
 //!
@@ -24,7 +26,7 @@ use consim::churn::{ChurnAction, ChurnDecision};
 use consim::metrics::MissSource;
 use consim::observe::{AccessStep, StepOutcome};
 use consim::qos::{RepartitionDecision, VmClass};
-use consim_cache::LineState;
+use consim_cache::{CacheLine, LineState, ReplacementPolicy};
 use consim_types::config::{ChurnPolicy, DynamicPolicy, LlcPartitioning, MachineConfig};
 use consim_types::rng::SimRng;
 use consim_types::{BankId, BlockAddr, CoreId};
@@ -43,7 +45,7 @@ pub enum Mutation {
     IgnoreOwners,
     /// Never downgrade a dirty owner on a read (leave it Modified).
     SkipOwnerDowngrade,
-    /// Fill the LLC without honoring the per-VM way quotas (partitioned
+    /// Fill the LLC without honoring the per-VM way masks (partitioned
     /// configurations only — a no-op divergence otherwise).
     IgnoreWayQuotas,
     /// Complete a write that hits a *Shared* private line as a plain hit,
@@ -76,209 +78,264 @@ pub enum Mutation {
 struct Slot {
     block: BlockAddr,
     state: LineState,
-    /// Global logical time of the last recency touch; the minimum stamp in
-    /// a full set is the LRU victim. Equivalent to the engine's per-way
-    /// recency order because both touch exactly on hits and inserts.
-    touched: u64,
-    /// Physical way index. Fills take the lowest free way and evictions
-    /// reuse the victim's way, mirroring the engine — which makes the
-    /// masked (dynamic-partitioning) fill path way-exact. The static paths
-    /// never consult it.
+    /// Physical way index. Fills take the lowest free allowed way and
+    /// evictions reuse the victim's way, so way masks and the tree-PLRU
+    /// and random victim choices (which name ways) are way-exact.
     way: usize,
+    /// The cache's logical clock at the last recency touch; the minimum
+    /// stamp among the candidate slots is the LRU victim.
+    touched: u64,
 }
 
-/// A set-associative cache as flat per-set vectors, LRU by stamp.
+/// One set: its valid lines in no particular order, plus the per-set
+/// tree-PLRU bits and random stream (unused under the other policies).
 #[derive(Debug, Clone)]
-struct NaiveCache {
-    num_sets: u64,
+struct NaiveSet {
+    slots: Vec<Slot>,
+    /// Tree-PLRU only: `ways - 1` nodes in heap order (node `n` has
+    /// children `2n + 1` and `2n + 2`); `true` means the next victim lies
+    /// in the right subtree.
+    plru: Vec<bool>,
+    rng: SimRng,
+}
+
+/// The reference specification of `consim_cache::SetAssocCache`: a
+/// set-associative cache as flat per-set vectors, under any of the three
+/// replacement policies. Sets are indexed by the block address modulo the
+/// set count. Lookups and invalidations see the whole set; only allocation
+/// is confined by a way mask. The engine's caches are pinned to this model
+/// operation by operation in `tests/cache_vs_naive.rs`, and the oracle runs
+/// it for every L0, L1 and LLC bank of the simulated machine.
+#[derive(Debug, Clone)]
+pub struct NaiveCache {
+    policy: ReplacementPolicy,
     ways: usize,
-    sets: Vec<Vec<Slot>>,
+    sets: Vec<NaiveSet>,
+    /// Logical clock, advanced by every recency touch.
+    clock: u64,
 }
 
 impl NaiveCache {
-    fn new(num_sets: usize, ways: usize) -> Self {
+    /// An empty cache of `num_sets` sets of `ways` ways. Random
+    /// replacement draws from one stream per set, seeded with the set
+    /// index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero or above 64, or if the policy is tree-PLRU
+    /// and `ways` is not a power of two.
+    pub fn new(policy: ReplacementPolicy, num_sets: usize, ways: usize) -> Self {
+        assert!(
+            (1..=64).contains(&ways),
+            "a set needs 1..=64 ways, got {ways}"
+        );
+        if policy == ReplacementPolicy::TreePlru {
+            assert!(
+                ways.is_power_of_two(),
+                "tree-PLRU requires power-of-two associativity, got {ways}"
+            );
+        }
         Self {
-            num_sets: num_sets as u64,
+            policy,
             ways,
-            sets: vec![Vec::new(); num_sets],
+            sets: (0..num_sets)
+                .map(|set| NaiveSet {
+                    slots: Vec::new(),
+                    plru: match policy {
+                        ReplacementPolicy::TreePlru => vec![false; ways - 1],
+                        _ => Vec::new(),
+                    },
+                    rng: SimRng::from_seed(set as u64),
+                })
+                .collect(),
+            clock: 0,
         }
     }
 
     fn set_of(&self, block: BlockAddr) -> usize {
-        (block.raw() % self.num_sets) as usize
+        (block.raw() % self.sets.len() as u64) as usize
+    }
+
+    fn slot_of(&self, set: usize, block: BlockAddr) -> Option<usize> {
+        self.sets[set].slots.iter().position(|s| s.block == block)
+    }
+
+    /// Records a use of slot `i` of `set`: a fresh LRU stamp, and under
+    /// tree-PLRU every node on the path to its way pointed away from it.
+    fn touch(&mut self, set: usize, i: usize) {
+        self.clock += 1;
+        let set = &mut self.sets[set];
+        let slot = &mut set.slots[i];
+        slot.touched = self.clock;
+        if self.policy != ReplacementPolicy::TreePlru {
+            return;
+        }
+        let (mut node, mut lo, mut hi) = (0, 0, self.ways);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            let right = slot.way >= mid;
+            set.plru[node] = !right;
+            (node, lo, hi) = if right {
+                (2 * node + 2, mid, hi)
+            } else {
+                (2 * node + 1, lo, mid)
+            };
+        }
+    }
+
+    /// The way to evict from a full `set`, chosen among the ways in `mask`
+    /// (already restricted to the set's ways and nonempty). LRU takes the
+    /// least recently touched line in the mask. Tree-PLRU walks from the
+    /// root along the node bits but never into a subtree without an
+    /// allowed way. Random draws `index(allowed ways)` from the set's
+    /// stream and takes the allowed way of that rank.
+    fn victim_way(&mut self, set: usize, mask: u64) -> usize {
+        let ways = self.ways;
+        let set = &mut self.sets[set];
+        match self.policy {
+            ReplacementPolicy::Lru => {
+                set.slots
+                    .iter()
+                    .filter(|s| mask >> s.way & 1 == 1)
+                    .min_by_key(|s| s.touched)
+                    .expect("a full mask region holds lines")
+                    .way
+            }
+            ReplacementPolicy::TreePlru => {
+                let allowed = |lo: usize, hi: usize| (lo..hi).any(|w| mask >> w & 1 == 1);
+                let (mut node, mut lo, mut hi) = (0, 0, ways);
+                while hi - lo > 1 {
+                    let mid = (lo + hi) / 2;
+                    let right = if !allowed(lo, mid) {
+                        true
+                    } else if !allowed(mid, hi) {
+                        false
+                    } else {
+                        set.plru[node]
+                    };
+                    (node, lo, hi) = if right {
+                        (2 * node + 2, mid, hi)
+                    } else {
+                        (2 * node + 1, lo, mid)
+                    };
+                }
+                lo
+            }
+            ReplacementPolicy::Random => {
+                let rank = set.rng.index(mask.count_ones() as usize);
+                (0..ways)
+                    .filter(|&w| mask >> w & 1 == 1)
+                    .nth(rank)
+                    .expect("rank is below the allowed-way count")
+            }
+        }
     }
 
     /// Lookup without a recency touch (the engine's `probe`/`contains`).
-    fn probe(&self, block: BlockAddr) -> Option<LineState> {
-        self.sets[self.set_of(block)]
-            .iter()
-            .find(|s| s.block == block)
-            .map(|s| s.state)
+    pub fn probe(&self, block: BlockAddr) -> Option<LineState> {
+        let set = self.set_of(block);
+        self.slot_of(set, block)
+            .map(|i| self.sets[set].slots[i].state)
     }
 
     /// Demand lookup: touches recency on a hit (the engine's `access`).
-    fn access(&mut self, block: BlockAddr, now: u64) -> Option<LineState> {
+    pub fn access(&mut self, block: BlockAddr) -> Option<LineState> {
         let set = self.set_of(block);
-        let slot = self.sets[set].iter_mut().find(|s| s.block == block)?;
-        slot.touched = now;
-        Some(slot.state)
+        let i = self.slot_of(set, block)?;
+        self.touch(set, i);
+        Some(self.sets[set].slots[i].state)
     }
 
-    /// State change in place, no recency touch; absent blocks are ignored.
-    fn set_state(&mut self, block: BlockAddr, state: LineState) {
+    /// State change in place, no recency touch; an invalid state removes
+    /// the line. Returns whether the block was present.
+    pub fn set_state(&mut self, block: BlockAddr, state: LineState) -> bool {
         let set = self.set_of(block);
-        if let Some(slot) = self.sets[set].iter_mut().find(|s| s.block == block) {
-            slot.state = state;
+        let Some(i) = self.slot_of(set, block) else {
+            return false;
+        };
+        if state.is_valid() {
+            self.sets[set].slots[i].state = state;
+        } else {
+            self.sets[set].slots.swap_remove(i);
         }
+        true
     }
 
-    /// Lowest way index in `mask` that no slot of `set` occupies.
-    fn free_way(set: &[Slot], ways: usize, mask: u64) -> Option<usize> {
-        let used = set.iter().fold(0u64, |m, s| m | 1 << s.way);
-        (0..ways).find(|&w| mask >> w & 1 == 1 && used >> w & 1 == 0)
-    }
-
-    /// Fill: updates in place on re-insert, else takes the lowest free
-    /// way, else evicts the minimum-stamp (LRU) slot. Returns the victim.
-    fn insert(&mut self, block: BlockAddr, state: LineState, now: u64) -> Option<Slot> {
-        let ways = self.ways;
-        let idx = self.set_of(block);
-        let set = &mut self.sets[idx];
-        if let Some(slot) = set.iter_mut().find(|s| s.block == block) {
-            slot.state = state;
-            slot.touched = now;
+    /// The one fill path, confined to the ways in `mask` (`u64::MAX` for
+    /// an unpartitioned fill). A block present anywhere in the set (even
+    /// outside the mask) is updated in place; otherwise the lowest free
+    /// way in the mask is taken; otherwise the policy's victim among the
+    /// masked ways is evicted, whoever owns it, and the new line takes its
+    /// way. Every fill touches recency. Returns the evicted line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an eviction is needed and `mask` allows none of the
+    /// set's ways.
+    pub fn fill(&mut self, block: BlockAddr, state: LineState, mask: u64) -> Option<CacheLine> {
+        let set = self.set_of(block);
+        if let Some(i) = self.slot_of(set, block) {
+            self.sets[set].slots[i].state = state;
+            self.touch(set, i);
             return None;
         }
+        let mask = if self.ways == 64 {
+            mask
+        } else {
+            mask & ((1u64 << self.ways) - 1)
+        };
+        let used = self.sets[set]
+            .slots
+            .iter()
+            .fold(0u64, |m, s| m | 1 << s.way);
         let mut fresh = Slot {
             block,
             state,
-            touched: now,
             way: 0,
+            touched: 0,
         };
-        if let Some(way) = Self::free_way(set, ways, u64::MAX) {
+        if let Some(way) = (0..self.ways).find(|&w| (mask & !used) >> w & 1 == 1) {
             fresh.way = way;
-            set.push(fresh);
+            self.sets[set].slots.push(fresh);
+            self.touch(set, self.sets[set].slots.len() - 1);
             return None;
         }
-        let lru = set
+        assert!(mask != 0, "victim mask allows no way");
+        fresh.way = self.victim_way(set, mask);
+        let i = self.sets[set]
+            .slots
             .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.touched)
-            .map(|(i, _)| i)
-            .expect("full set is nonempty");
-        let victim = set[lru];
-        fresh.way = victim.way;
-        set[lru] = fresh;
-        Some(victim)
+            .position(|s| s.way == fresh.way)
+            .expect("a full mask region holds a line in every way");
+        let victim = std::mem::replace(&mut self.sets[set].slots[i], fresh);
+        self.touch(set, i);
+        Some(CacheLine::new(victim.block, victim.state))
     }
 
-    /// Fill under a per-VM way quota — the model's view of the engine's
-    /// masked `insert_in_ways`. Because the per-VM way masks are disjoint
-    /// and every allocation is confined to the inserting VM's mask, a
-    /// mask's ways only ever hold that VM's lines; "evict the LRU way
-    /// inside the mask" is therefore exactly "evict the VM's LRU line in
-    /// the set", and the mask width reduces to a line-count quota.
-    fn insert_with_quota(
-        &mut self,
-        block: BlockAddr,
-        state: LineState,
-        now: u64,
-        quota: usize,
-    ) -> Option<Slot> {
-        let idx = self.set_of(block);
-        let set = &mut self.sets[idx];
-        if let Some(slot) = set.iter_mut().find(|s| s.block == block) {
-            slot.state = state;
-            slot.touched = now;
-            return None;
-        }
-        let mut fresh = Slot {
-            block,
-            state,
-            touched: now,
-            way: 0,
-        };
-        let vm = block.vm();
-        let occupied = set.iter().filter(|s| s.block.vm() == vm).count();
-        if occupied < quota {
-            fresh.way = Self::free_way(set, self.ways, u64::MAX)
-                .expect("quotas sum to the associativity, so a slot is free");
-            set.push(fresh);
-            return None;
-        }
-        let lru = set
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.block.vm() == vm)
-            .min_by_key(|(_, s)| s.touched)
-            .map(|(i, _)| i)
-            .expect("quota ways are nonzero");
-        let victim = set[lru];
-        fresh.way = victim.way;
-        set[lru] = fresh;
-        Some(victim)
-    }
-
-    /// Fill confined to the ways in `mask` — the way-exact mirror of the
-    /// engine's `insert_in_ways`, used for *dynamic* partitioning, where
-    /// masks change while the cache is occupied and the count-based quota
-    /// reduction of [`NaiveCache::insert_with_quota`] no longer holds (a
-    /// VM's lines linger in ways it lost until the new owner evicts them).
-    /// A block present anywhere in the set (even outside the mask) updates
-    /// in place; otherwise the lowest allowed free way is taken; otherwise
-    /// the LRU line among the masked ways — whoever it belongs to — is
-    /// evicted.
-    fn insert_masked(
-        &mut self,
-        block: BlockAddr,
-        state: LineState,
-        now: u64,
-        mask: u64,
-    ) -> Option<Slot> {
-        let ways = self.ways;
-        let idx = self.set_of(block);
-        let set = &mut self.sets[idx];
-        if let Some(slot) = set.iter_mut().find(|s| s.block == block) {
-            slot.state = state;
-            slot.touched = now;
-            return None;
-        }
-        let mut fresh = Slot {
-            block,
-            state,
-            touched: now,
-            way: 0,
-        };
-        if let Some(way) = Self::free_way(set, ways, mask) {
-            fresh.way = way;
-            set.push(fresh);
-            return None;
-        }
-        let lru = set
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| mask >> s.way & 1 == 1)
-            .min_by_key(|(_, s)| s.touched)
-            .map(|(i, _)| i)
-            .expect("mask selects an occupied way");
-        let victim = set[lru];
-        fresh.way = victim.way;
-        set[lru] = fresh;
-        Some(victim)
-    }
-
-    /// Invalidate: removes the block if present.
-    fn invalidate(&mut self, block: BlockAddr) {
+    /// Removes the block if present; returns the removed line.
+    pub fn invalidate(&mut self, block: BlockAddr) -> Option<CacheLine> {
         let set = self.set_of(block);
-        self.sets[set].retain(|s| s.block != block);
+        let i = self.slot_of(set, block)?;
+        let removed = self.sets[set].slots.swap_remove(i);
+        Some(CacheLine::new(removed.block, removed.state))
     }
 
-    fn lines(&self) -> impl Iterator<Item = &Slot> {
-        self.sets.iter().flatten()
+    /// Every valid line, set by set.
+    pub fn lines(&self) -> impl Iterator<Item = CacheLine> + '_ {
+        self.sets
+            .iter()
+            .flat_map(|set| &set.slots)
+            .map(|s| CacheLine::new(s.block, s.state))
     }
 
-    fn capacity(&self) -> usize {
-        self.num_sets as usize * self.ways
+    /// Number of valid lines.
+    pub fn occupancy(&self) -> usize {
+        self.sets.iter().map(|set| set.slots.len()).sum()
+    }
+
+    /// Total line capacity.
+    pub fn capacity(&self) -> usize {
+        self.sets.len() * self.ways
     }
 }
 
@@ -496,24 +553,6 @@ impl NaiveQos {
         }
     }
 
-    /// Contiguous masks from the current quotas: VM 0 takes the lowest
-    /// ways, VM 1 the next block, and so on.
-    fn masks(&self) -> Vec<u64> {
-        let mut base = 0u32;
-        self.quotas
-            .iter()
-            .map(|&q| {
-                let mask = if q >= 64 {
-                    u64::MAX
-                } else {
-                    ((1u64 << q) - 1) << base
-                };
-                base += q as u32;
-                mask
-            })
-            .collect()
-    }
-
     /// One decision from epoch deltas and current occupancy; returns the
     /// per-VM classes, the updated EWMA vector, and the new masks.
     fn decide(
@@ -614,8 +653,26 @@ impl NaiveQos {
                 self.quotas[to] += 1;
             }
         }
-        (classes, self.ewma.clone(), self.masks())
+        (classes, self.ewma.clone(), contiguous_masks(&self.quotas))
     }
+}
+
+/// Contiguous way masks from per-VM way quotas: VM 0 takes the lowest
+/// ways, VM 1 the next block, and so on.
+fn contiguous_masks(quotas: &[u64]) -> Vec<u64> {
+    let mut base = 0u32;
+    quotas
+        .iter()
+        .map(|&q| {
+            let mask = if q >= 64 {
+                u64::MAX
+            } else {
+                ((1u64 << q) - 1) << base
+            };
+            base += q as u32;
+            mask
+        })
+        .collect()
 }
 
 /// Independent flat re-derivation of the engine's VM lifecycle machinery
@@ -696,73 +753,68 @@ pub struct RefModel {
     llc: Vec<NaiveCache>,
     directory: NaiveDirectory,
     counters: Vec<ModelCounters>,
-    /// Per-VM LLC way quotas under *static* way partitioning (the popcount
-    /// of each VM's allowed-way mask).
-    llc_quotas: Option<Vec<usize>>,
-    /// Current per-VM way masks under *dynamic* partitioning; swapped by
-    /// [`RefModel::repartition`] as decisions are verified.
+    /// Per-VM LLC way masks under way partitioning: fixed for the static
+    /// policies, swapped by [`RefModel::repartition`] under the dynamic one
+    /// as decisions are verified.
     llc_masks: Option<Vec<u64>>,
     /// Independent controller mirror, dynamic partitioning only.
     qos: Option<NaiveQos>,
     /// Independent lifecycle mirror, churned machines only.
     churn: Option<NaiveChurn>,
-    /// Global logical clock for LRU stamps.
-    now: u64,
     /// Injected bug for mutation testing, if any.
     mutation: Option<Mutation>,
 }
 
 impl RefModel {
-    /// Builds an empty model of `machine` hosting `num_vms` VMs.
-    pub fn new(machine: &MachineConfig, num_vms: usize) -> Self {
+    /// Builds an empty model of `machine` hosting `num_vms` VMs, with
+    /// `llc_replacement` in the LLC banks (the private caches are LRU, as
+    /// in the engine).
+    pub fn new(
+        machine: &MachineConfig,
+        num_vms: usize,
+        llc_replacement: ReplacementPolicy,
+    ) -> Self {
         let geom = |g: consim_types::config::CacheGeometry| (g.num_sets(), g.associativity);
         let (l0_sets, l0_ways) = geom(machine.l0);
         let (l1_sets, l1_ways) = geom(machine.l1);
         let bank = machine.llc_bank_geometry();
         let (llc_sets, llc_ways) = (bank.num_sets(), bank.associativity);
-        let masks = machine
+        // The way quotas come from the configuration; the masks are laid
+        // out by the model's own contiguous rule.
+        let llc_masks = machine
             .llc_partitioning
             .way_masks(llc_ways, num_vms)
-            .expect("partitioning validated by the simulation builder");
-        let (llc_quotas, llc_masks, qos) = match &machine.llc_partitioning {
-            LlcPartitioning::Dynamic(policy) => {
-                let total_lines = (machine.llc_banks() * bank.num_lines()) as u64;
-                (
-                    None,
-                    masks,
-                    Some(NaiveQos::new(
-                        policy.clone(),
-                        llc_ways,
-                        num_vms,
-                        total_lines,
-                    )),
-                )
-            }
-            _ => (
-                masks.map(|m| m.iter().map(|m| m.count_ones() as usize).collect()),
-                None,
-                None,
-            ),
+            .expect("partitioning validated by the simulation builder")
+            .map(|masks| {
+                let quotas: Vec<u64> = masks.iter().map(|m| u64::from(m.count_ones())).collect();
+                contiguous_masks(&quotas)
+            });
+        let qos = match &machine.llc_partitioning {
+            LlcPartitioning::Dynamic(policy) => Some(NaiveQos::new(
+                policy.clone(),
+                llc_ways,
+                num_vms,
+                (machine.llc_banks() * bank.num_lines()) as u64,
+            )),
+            _ => None,
         };
         Self {
             mesh_width: machine.mesh_width,
             cores_per_bank: machine.cores_per_bank(),
             l0: (0..machine.num_cores)
-                .map(|_| NaiveCache::new(l0_sets, l0_ways))
+                .map(|_| NaiveCache::new(ReplacementPolicy::Lru, l0_sets, l0_ways))
                 .collect(),
             l1: (0..machine.num_cores)
-                .map(|_| NaiveCache::new(l1_sets, l1_ways))
+                .map(|_| NaiveCache::new(ReplacementPolicy::Lru, l1_sets, l1_ways))
                 .collect(),
             llc: (0..machine.llc_banks())
-                .map(|_| NaiveCache::new(llc_sets, llc_ways))
+                .map(|_| NaiveCache::new(llc_replacement, llc_sets, llc_ways))
                 .collect(),
             directory: NaiveDirectory::default(),
             counters: vec![ModelCounters::default(); num_vms],
-            llc_quotas,
             llc_masks,
             qos,
             churn: None,
-            now: 0,
             mutation: None,
         }
     }
@@ -776,14 +828,6 @@ impl RefModel {
         let num_cores = self.l1.len();
         self.churn = Some(NaiveChurn::new(policy, seed, vm_threads, num_cores));
         self
-    }
-
-    /// Advances the logical clock: one tick per recency-touching cache
-    /// operation, so stamp order reproduces the engine's per-operation LRU
-    /// order exactly (including multiple touches within one access).
-    fn tick(&mut self) -> u64 {
-        self.now += 1;
-        self.now
     }
 
     /// Installs a deliberate bug (mutation testing).
@@ -919,8 +963,7 @@ impl RefModel {
         // servable, never demoting unwritable write hits to the upgrade
         // transaction.
         let skip_demotion = self.mutation == Some(Mutation::SkipFastPathDemotion);
-        let t = self.tick();
-        if let Some(state) = self.l0[core].access(block, t) {
+        if let Some(state) = self.l0[core].access(block) {
             if !write || state.is_writable() || skip_demotion {
                 if write {
                     self.l0[core].set_state(block, LineState::Modified);
@@ -933,8 +976,7 @@ impl RefModel {
             }
         }
         // L1.
-        let t = self.tick();
-        if let Some(state) = self.l1[core].access(block, t) {
+        if let Some(state) = self.l1[core].access(block) {
             if !write || state.is_writable() || skip_demotion {
                 let new_state = if write { LineState::Modified } else { state };
                 if write {
@@ -1045,8 +1087,7 @@ impl RefModel {
     /// `serve_from_llc_or_memory` content effects.
     fn serve_below(&mut self, core: usize, block: BlockAddr, write: bool) -> MissSource {
         let my_bank = self.bank_of_core(core);
-        let t = self.tick();
-        if self.llc[my_bank].access(block, t).is_some() {
+        if self.llc[my_bank].access(block).is_some() {
             if write {
                 self.invalidate_llc_copies(block);
             }
@@ -1103,8 +1144,7 @@ impl RefModel {
     /// L1 fill with inclusive-L0 and directory bookkeeping, mirroring the
     /// engine's `fill_l1`.
     fn fill_l1(&mut self, core: usize, block: BlockAddr, state: LineState) {
-        let t = self.tick();
-        if let Some(victim) = self.l1[core].insert(block, state, t) {
+        if let Some(victim) = self.l1[core].fill(block, state, u64::MAX) {
             self.l0[core].invalidate(victim.block);
             self.directory.evict(core, victim.block);
             if victim.state.is_dirty() {
@@ -1117,29 +1157,20 @@ impl RefModel {
 
     /// L0 fill: silent evictions (the engine's `fill_l0`).
     fn l1_fill_l0(&mut self, core: usize, block: BlockAddr, state: LineState) {
-        let t = self.tick();
-        self.l0[core].insert(block, state, t);
+        self.l0[core].fill(block, state, u64::MAX);
     }
 
-    /// LLC fill, honoring the way quotas (static partitioning) or the
-    /// current way masks (dynamic partitioning) when active; dirty victims
-    /// write back to memory, which has no content representation here.
+    /// LLC fill, confined to the filling VM's way mask when the LLC is
+    /// partitioned; dirty victims write back to memory, which has no
+    /// content representation here.
     fn fill_llc(&mut self, bank: usize, block: BlockAddr, state: LineState) {
-        let t = self.tick();
-        if self.mutation != Some(Mutation::IgnoreWayQuotas) {
-            if let Some(masks) = &self.llc_masks {
-                let mask = masks.get(block.vm().index()).copied().unwrap_or(u64::MAX);
-                self.llc[bank].insert_masked(block, state, t, mask);
-                return;
+        let mask = match &self.llc_masks {
+            Some(masks) if self.mutation != Some(Mutation::IgnoreWayQuotas) => {
+                masks.get(block.vm().index()).copied().unwrap_or(u64::MAX)
             }
-            if let Some(quotas) = &self.llc_quotas {
-                if let Some(quota) = quotas.get(block.vm().index()).copied() {
-                    self.llc[bank].insert_with_quota(block, state, t, quota);
-                    return;
-                }
-            }
-        }
-        self.llc[bank].insert(block, state, t);
+            _ => u64::MAX,
+        };
+        self.llc[bank].fill(block, state, mask);
     }
 
     /// LLC lines currently held per VM across every bank — the quantity
@@ -1532,7 +1563,7 @@ mod tests {
 
     #[test]
     fn cold_read_goes_to_memory() {
-        let mut m = RefModel::new(&machine(), 1);
+        let mut m = RefModel::new(&machine(), 1, ReplacementPolicy::Lru);
         let step = read_step(0, blk(1));
         let out = m.apply(&step);
         assert_eq!(out, StepOutcome::Miss(MissSource::Memory));
@@ -1543,7 +1574,7 @@ mod tests {
 
     #[test]
     fn second_reader_is_clean_c2c() {
-        let mut m = RefModel::new(&machine(), 1);
+        let mut m = RefModel::new(&machine(), 1, ReplacementPolicy::Lru);
         m.apply(&read_step(0, blk(1)));
         let out = m.apply(&read_step(1, blk(1)));
         assert_eq!(out, StepOutcome::Miss(MissSource::RemoteL1Clean));
@@ -1551,7 +1582,7 @@ mod tests {
 
     #[test]
     fn write_after_remote_read_is_dirty_transfer_chain() {
-        let mut m = RefModel::new(&machine(), 1);
+        let mut m = RefModel::new(&machine(), 1, ReplacementPolicy::Lru);
         let mut w = read_step(0, blk(1));
         w.is_write = true;
         m.apply(&w);
@@ -1565,22 +1596,26 @@ mod tests {
 
     #[test]
     fn naive_lru_matches_stamp_order() {
-        let mut c = NaiveCache::new(1, 2);
-        c.insert(blk(1), LineState::Shared, 1);
-        c.insert(blk(2), LineState::Shared, 2);
-        c.access(blk(1), 3);
-        let victim = c.insert(blk(3), LineState::Shared, 4).expect("eviction");
+        let mut c = NaiveCache::new(ReplacementPolicy::Lru, 1, 2);
+        c.fill(blk(1), LineState::Shared, u64::MAX);
+        c.fill(blk(2), LineState::Shared, u64::MAX);
+        c.access(blk(1));
+        let victim = c
+            .fill(blk(3), LineState::Shared, u64::MAX)
+            .expect("eviction");
         assert_eq!(victim.block, blk(2));
         assert!(c.probe(blk(1)).is_some());
     }
 
     #[test]
     fn probe_does_not_touch() {
-        let mut c = NaiveCache::new(1, 2);
-        c.insert(blk(1), LineState::Shared, 1);
-        c.insert(blk(2), LineState::Shared, 2);
+        let mut c = NaiveCache::new(ReplacementPolicy::Lru, 1, 2);
+        c.fill(blk(1), LineState::Shared, u64::MAX);
+        c.fill(blk(2), LineState::Shared, u64::MAX);
         assert!(c.probe(blk(1)).is_some());
-        let victim = c.insert(blk(3), LineState::Shared, 3).expect("eviction");
+        let victim = c
+            .fill(blk(3), LineState::Shared, u64::MAX)
+            .expect("eviction");
         assert_eq!(victim.block, blk(1), "probe must not protect the LRU line");
     }
 
@@ -1589,6 +1624,7 @@ mod tests {
         let mut m = RefModel::new(
             &machine().with_sharing(consim_types::config::SharingDegree::Private),
             1,
+            ReplacementPolicy::Lru,
         );
         m.prewarm(BankId::new(0), blk(1));
         m.prewarm(BankId::new(1), blk(1));

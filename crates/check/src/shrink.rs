@@ -13,13 +13,21 @@
 use crate::cases::FuzzCase;
 use crate::diff::run_case;
 use crate::model::Mutation;
+use consim_cache::ReplacementPolicy;
 use consim_types::config::LlcPartitioning;
 
 /// Generates shrink candidates for `case`, most aggressive first. Each is
 /// canonicalized and size-checked by the caller.
 fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     let mut out = Vec::new();
-    // Lifecycle churn goes first: a case that still fails with a static
+    // The LLC replacement policy degrades to LRU first: a failure that
+    // survives it is not about tree-PLRU or random victim choice.
+    if case.llc_replacement != ReplacementPolicy::Lru {
+        let mut c = case.clone();
+        c.llc_replacement = ReplacementPolicy::Lru;
+        out.push(c);
+    }
+    // Lifecycle churn goes next: a case that still fails with a static
     // population rules the whole birth–death-and-migration machinery out
     // of the repro before anything structural is touched.
     if case.churn.is_some() {
