@@ -41,8 +41,17 @@ cargo test --release -q -p consim-check skip_migration_invalidation_mutation_is_
 echo "== cache reference self-test (mismatched replacement policies must diverge) =="
 cargo test --release -q -p consim-check --test cache_vs_naive mismatched_policies_are_detected
 
+echo "== NoC calendar floor self-test (pruning one cycle past the floor must diverge) =="
+cargo test --release -q -p consim-noc pruning_one_cycle_past_the_floor_is_detected
+
 echo "== lifecycle churn smoke (every case churned, fixed seed) =="
 cargo run --release -q -p consim-check --bin fuzz -- --cases 200 --seed 23 --churn
+
+echo "== debug-build churn fuzz (event-floor assertions on, fixed seed) =="
+# Debug builds assert that no packet or memory slot departs before the
+# engine's event floor; this runs that check under churn remaps,
+# migrations and checkpoint/resume seams.
+cargo run -q -p consim-check --bin fuzz -- --cases 200 --seed 23 --churn --resume
 
 echo "== checkpoint/resume seam smoke (consim-check, fixed seed) =="
 cargo run --release -q -p consim-check --bin fuzz -- --cases 200 --seed 11 --resume

@@ -39,41 +39,46 @@ fn main() {
             .memory_occupancy(occupancy)
             .build()
             .expect("valid machine");
-        let mut b = SimulationConfig::builder();
-        b.machine(machine)
-            .policy(SchedulingPolicy::Affinity)
-            .refs_per_vm(refs)
-            .warmup_refs_per_vm(warmup)
-            .seed(1);
-        for kind in [
-            WorkloadKind::TpcW,
-            WorkloadKind::TpcW,
-            WorkloadKind::TpcW,
-            WorkloadKind::TpcH,
-        ] {
-            b.workload(kind.profile());
+        // Each cell is the mean over the configured seeds.
+        let mut cell = [0.0f64; 4];
+        for &seed in &options.seeds {
+            let mut b = SimulationConfig::builder();
+            b.machine(machine.clone())
+                .policy(SchedulingPolicy::Affinity)
+                .refs_per_vm(refs)
+                .warmup_refs_per_vm(warmup)
+                .seed(seed);
+            for kind in [
+                WorkloadKind::TpcW,
+                WorkloadKind::TpcW,
+                WorkloadKind::TpcW,
+                WorkloadKind::TpcH,
+            ] {
+                b.workload(kind.profile());
+            }
+            let out = Simulation::new(b.build().expect("valid"))
+                .expect("machine")
+                .run()
+                .expect("run");
+            let w_lat = out.vm_metrics[..3]
+                .iter()
+                .map(|m| m.mean_miss_latency())
+                .sum::<f64>()
+                / 3.0;
+            let h_lat = out.vm_metrics[3].mean_miss_latency();
+            let w_rt = out.vm_metrics[..3]
+                .iter()
+                .map(|m| m.runtime_cycles() as f64)
+                .sum::<f64>()
+                / 3.0
+                / 1e6;
+            let h_rt = out.vm_metrics[3].runtime_cycles() as f64 / 1e6;
+            for (c, v) in cell.iter_mut().zip([w_lat, h_lat, w_rt, h_rt]) {
+                *c += v;
+            }
         }
-        let out = Simulation::new(b.build().expect("valid"))
-            .expect("machine")
-            .run()
-            .expect("run");
-        let w_lat = out.vm_metrics[..3]
-            .iter()
-            .map(|m| m.mean_miss_latency())
-            .sum::<f64>()
-            / 3.0;
-        let h_lat = out.vm_metrics[3].mean_miss_latency();
-        let w_rt = out.vm_metrics[..3]
-            .iter()
-            .map(|m| m.runtime_cycles() as f64)
-            .sum::<f64>()
-            / 3.0
-            / 1e6;
-        let h_rt = out.vm_metrics[3].runtime_cycles() as f64 / 1e6;
-        table.row(
-            format!("occupancy {occupancy}"),
-            &[w_lat, h_lat, w_rt, h_rt],
-        );
+        let seeds = options.seeds.len() as f64;
+        table.row(format!("occupancy {occupancy}"), &cell.map(|c| c / seeds));
     }
     println!("{table}");
 }

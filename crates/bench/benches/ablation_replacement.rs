@@ -34,49 +34,50 @@ fn main() {
         ("tree-plru", ReplacementPolicy::TreePlru),
         ("random", ReplacementPolicy::Random),
     ] {
-        let mut b = SimulationConfig::builder();
-        b.machine(MachineConfig::paper_default().with_sharing(SharingDegree::SharedBy(4)))
-            .policy(SchedulingPolicy::Affinity)
-            .llc_replacement(policy)
-            .refs_per_vm(refs)
-            .warmup_refs_per_vm(warmup)
-            .seed(1);
-        for kind in [
-            WorkloadKind::SpecJbb,
-            WorkloadKind::SpecJbb,
-            WorkloadKind::TpcH,
-            WorkloadKind::TpcH,
-        ] {
-            b.workload(kind.profile());
+        // Each cell is the mean over the configured seeds.
+        let mut cell = [0.0f64; 4];
+        for &seed in &options.seeds {
+            let mut b = SimulationConfig::builder();
+            b.machine(MachineConfig::paper_default().with_sharing(SharingDegree::SharedBy(4)))
+                .policy(SchedulingPolicy::Affinity)
+                .llc_replacement(policy)
+                .refs_per_vm(refs)
+                .warmup_refs_per_vm(warmup)
+                .seed(seed);
+            for kind in [
+                WorkloadKind::SpecJbb,
+                WorkloadKind::SpecJbb,
+                WorkloadKind::TpcH,
+                WorkloadKind::TpcH,
+            ] {
+                b.workload(kind.profile());
+            }
+            let out = Simulation::new(b.build().expect("valid"))
+                .expect("machine")
+                .run()
+                .expect("run");
+            let n = out.vm_metrics.len() as f64;
+            let missrate = out
+                .vm_metrics
+                .iter()
+                .map(|m| m.llc_miss_rate())
+                .sum::<f64>()
+                / n
+                * 100.0;
+            let misslat = out
+                .vm_metrics
+                .iter()
+                .map(|m| m.mean_miss_latency())
+                .sum::<f64>()
+                / n;
+            let c2c = out.vm_metrics.iter().map(|m| m.c2c_fraction()).sum::<f64>() / n * 100.0;
+            let repl = out.replication.replicated_fraction() * 100.0;
+            for (c, v) in cell.iter_mut().zip([missrate, misslat, c2c, repl]) {
+                *c += v;
+            }
         }
-        let out = Simulation::new(b.build().expect("valid"))
-            .expect("machine")
-            .run()
-            .expect("run");
-        let n = out.vm_metrics.len() as f64;
-        let missrate = out
-            .vm_metrics
-            .iter()
-            .map(|m| m.llc_miss_rate())
-            .sum::<f64>()
-            / n
-            * 100.0;
-        let misslat = out
-            .vm_metrics
-            .iter()
-            .map(|m| m.mean_miss_latency())
-            .sum::<f64>()
-            / n;
-        let c2c = out.vm_metrics.iter().map(|m| m.c2c_fraction()).sum::<f64>() / n * 100.0;
-        table.row(
-            label,
-            &[
-                missrate,
-                misslat,
-                c2c,
-                out.replication.replicated_fraction() * 100.0,
-            ],
-        );
+        let seeds = options.seeds.len() as f64;
+        table.row(label, &cell.map(|c| c / seeds));
     }
     println!("{table}");
 }

@@ -35,51 +35,59 @@ fn main() {
         ("every 300K cy", Some(300_000)),
         ("every 100K cy", Some(100_000)),
     ] {
-        let mut b = SimulationConfig::builder();
-        b.machine(MachineConfig::paper_default().with_sharing(SharingDegree::SharedBy(4)))
-            .policy(SchedulingPolicy::Random)
-            .refs_per_vm(refs)
-            .warmup_refs_per_vm(warmup)
-            .seed(1);
-        if let Some(i) = interval {
-            b.reschedule_every(i);
+        // Each cell is the mean over the configured seeds.
+        let mut cell = [0.0f64; 4];
+        for &seed in &options.seeds {
+            let mut b = SimulationConfig::builder();
+            b.machine(MachineConfig::paper_default().with_sharing(SharingDegree::SharedBy(4)))
+                .policy(SchedulingPolicy::Random)
+                .refs_per_vm(refs)
+                .warmup_refs_per_vm(warmup)
+                .seed(seed);
+            if let Some(i) = interval {
+                b.reschedule_every(i);
+            }
+            for _ in 0..4 {
+                b.workload(WorkloadKind::SpecJbb.profile());
+            }
+            let out = Simulation::new(b.build().expect("valid"))
+                .expect("machine")
+                .run()
+                .expect("run");
+            let n = out.vm_metrics.len() as f64;
+            let runtime = out
+                .vm_metrics
+                .iter()
+                .map(|m| m.runtime_cycles() as f64)
+                .sum::<f64>()
+                / n
+                / 1e6;
+            let missrate = out
+                .vm_metrics
+                .iter()
+                .map(|m| m.llc_miss_rate())
+                .sum::<f64>()
+                / n
+                * 100.0;
+            let misslat = out
+                .vm_metrics
+                .iter()
+                .map(|m| m.mean_miss_latency())
+                .sum::<f64>()
+                / n;
+            let l1hit = out
+                .vm_metrics
+                .iter()
+                .map(|m| (m.l0_hits + m.l1_hits) as f64 / m.refs as f64)
+                .sum::<f64>()
+                / n
+                * 100.0;
+            for (c, v) in cell.iter_mut().zip([runtime, missrate, misslat, l1hit]) {
+                *c += v;
+            }
         }
-        for _ in 0..4 {
-            b.workload(WorkloadKind::SpecJbb.profile());
-        }
-        let out = Simulation::new(b.build().expect("valid"))
-            .expect("machine")
-            .run()
-            .expect("run");
-        let n = out.vm_metrics.len() as f64;
-        let runtime = out
-            .vm_metrics
-            .iter()
-            .map(|m| m.runtime_cycles() as f64)
-            .sum::<f64>()
-            / n
-            / 1e6;
-        let missrate = out
-            .vm_metrics
-            .iter()
-            .map(|m| m.llc_miss_rate())
-            .sum::<f64>()
-            / n
-            * 100.0;
-        let misslat = out
-            .vm_metrics
-            .iter()
-            .map(|m| m.mean_miss_latency())
-            .sum::<f64>()
-            / n;
-        let l1hit = out
-            .vm_metrics
-            .iter()
-            .map(|m| (m.l0_hits + m.l1_hits) as f64 / m.refs as f64)
-            .sum::<f64>()
-            / n
-            * 100.0;
-        table.row(label, &[runtime, missrate, misslat, l1hit]);
+        let seeds = options.seeds.len() as f64;
+        table.row(label, &cell.map(|c| c / seeds));
     }
     println!("{table}");
     println!(

@@ -60,6 +60,9 @@ fn bench_noc() {
     let mut t = 0u64;
     bench("noc/contention_send", 1_000_000, 1, || {
         t += 10;
+        // Declare the event floor as the engine does: without one the
+        // calendars would keep every interval ever reserved.
+        noc.retire_before(Cycle::new(t));
         black_box(noc.send(
             &Packet::data(NodeId::new(0), NodeId::new(15)),
             Cycle::new(t),

@@ -1046,6 +1046,10 @@ impl Simulation {
                     m.footprint.insert(mem_ref.address.block().raw());
                 }
             }
+            // Events pop in nondecreasing time order and every packet and
+            // memory slot of this access departs at or after `now`, so
+            // nothing ending by then can constrain a later reservation.
+            self.noc.retire_before(Cycle::new(now));
             let done = self.access(CoreId::new(core), vm, &mem_ref, issue, measuring, observer);
             budget_left -= 1;
 
@@ -1858,7 +1862,7 @@ impl Simulation {
         let mut buf = SectionBuf::new();
         self.noc.save(&mut buf);
         save_items(&mut buf, &self.memory_controllers);
-        snap.section("noc", &buf)?;
+        snap.section("noc-calendars", &buf)?;
 
         let mut buf = SectionBuf::new();
         save_items(&mut buf, &self.generators);
@@ -1910,7 +1914,7 @@ impl Simulation {
             finish_section(&r)?;
         }
         {
-            let mut r = snap.section("noc")?;
+            let mut r = snap.section("noc-calendars")?;
             sim.noc.restore(&mut r)?;
             restore_items(&mut r, &mut sim.memory_controllers)?;
             finish_section(&r)?;

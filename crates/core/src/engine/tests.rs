@@ -690,19 +690,26 @@ mod snap {
         assert_recheckpoint_is_identical(&before_first_advance, "before the first advance");
     }
 
-    /// Renames one section of a checkpoint, leaving its payload and
-    /// checksum (which covers only the payload) intact.
-    fn rename_section(bytes: &[u8], from: &str, to: &str) -> Vec<u8> {
-        let mut framed = (from.len() as u32).to_le_bytes().to_vec();
-        framed.extend_from_slice(from.as_bytes());
+    /// The byte range of section `name`'s framed name (length prefix and
+    /// name) in a checkpoint; its payload length follows.
+    fn section_name_range(bytes: &[u8], name: &str) -> std::ops::Range<usize> {
+        let mut framed = (name.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(name.as_bytes());
         let at = bytes
             .windows(framed.len())
             .position(|w| w == framed)
-            .unwrap_or_else(|| panic!("checkpoint has no '{from}' section"));
-        let mut out = bytes[..at].to_vec();
+            .unwrap_or_else(|| panic!("checkpoint has no '{name}' section"));
+        at..at + framed.len()
+    }
+
+    /// Renames one section of a checkpoint, leaving its payload and
+    /// checksum (which covers only the payload) intact.
+    fn rename_section(bytes: &[u8], from: &str, to: &str) -> Vec<u8> {
+        let name = section_name_range(bytes, from);
+        let mut out = bytes[..name.start].to_vec();
         out.extend_from_slice(&(to.len() as u32).to_le_bytes());
         out.extend_from_slice(to.as_bytes());
-        out.extend_from_slice(&bytes[at + framed.len()..]);
+        out.extend_from_slice(&bytes[name.end..]);
         out
     }
 
@@ -725,13 +732,31 @@ mod snap {
     }
 
     #[test]
-    fn paper_default_checkpoint_before_first_advance_is_small() {
-        // The 16 MB LLC, 16 L1s and 16 directory caches hold ~400k slots;
-        // an empty machine must not pay for them (dense planes were
-        // ~7 MB here).
+    fn horizon_noc_section_from_older_builds_is_corrupt() {
+        // Older builds pruned at a fixed horizon and saved their latest
+        // departure in a section named `noc`; the floor-pruned layout is
+        // versioned by its new name.
+        let bytes = checkpoint_at(config(6, SchedulingPolicy::Affinity, None), 1_200);
+        let err = Simulation::resume(rename_section(&bytes, "noc-calendars", "noc").as_slice())
+            .expect_err("the old section name must be rejected");
+        assert_eq!(
+            err.snapshot_kind(),
+            Some(SnapshotErrorKind::Corrupt),
+            "{err}"
+        );
+        assert!(err.to_string().contains("noc-calendars"), "{err}");
+    }
+
+    /// Payload length of the section `name` in a checkpoint stream.
+    fn section_payload_len(bytes: &[u8], name: &str) -> usize {
+        let at = section_name_range(bytes, name).end;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+    }
+
+    fn paper_default_mix4(refs_per_vm: u64) -> SimulationConfig {
         let mut b = SimulationConfig::builder();
         b.machine(MachineConfig::paper_default())
-            .refs_per_vm(1_000)
+            .refs_per_vm(refs_per_vm)
             .seed(1);
         for kind in [
             WorkloadKind::TpcH,
@@ -741,8 +766,27 @@ mod snap {
         ] {
             b.workload(kind.profile());
         }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn floor_pruned_noc_calendars_checkpoint_small() {
+        // The links and memory controllers keep only intervals that end
+        // after the current event; a 100k-cycle prune horizon left
+        // ~460 KB of dead intervals in this section.
+        let bytes = checkpoint_at(paper_default_mix4(100_000), 50_000);
+        let noc = section_payload_len(&bytes, "noc-calendars");
+        assert!(noc < 16 * 1024, "noc-calendars section is {noc} bytes");
+        assert_recheckpoint_is_identical(&bytes, "paper-default mix-4 at 50k accesses");
+    }
+
+    #[test]
+    fn paper_default_checkpoint_before_first_advance_is_small() {
+        // The 16 MB LLC, 16 L1s and 16 directory caches hold ~400k slots;
+        // an empty machine must not pay for them (dense planes were
+        // ~7 MB here).
         let mut bytes = Vec::new();
-        Simulation::new(b.build().unwrap())
+        Simulation::new(paper_default_mix4(1_000))
             .unwrap()
             .checkpoint(&mut bytes)
             .unwrap();

@@ -1,5 +1,11 @@
 //! The memory controllers: reservation-calendar occupancy (bandwidth
 //! model) for cache-line transfers and directory-entry refills.
+//!
+//! The controllers' calendars are pruned by the same rule as the NoC's
+//! links: the engine's event floor, declared on the NoC model before each
+//! access ([`consim_noc::ContentionModel::retire_before`]). Every slot an
+//! access reserves is ready at or after its event's cycle, so intervals
+//! ending at or before the floor can never constrain one and are dropped.
 
 use super::HierarchyCtx;
 use consim_types::{Cycle, MemCtrlId};
@@ -20,9 +26,8 @@ impl HierarchyCtx<'_> {
     }
 
     fn reserve_memory_slot(&mut self, mc: MemCtrlId, ready: Cycle, occupancy: u64) -> Cycle {
-        let prune_before = ready.raw().saturating_sub(200_000);
-        let start =
-            self.memory_controllers[mc.index()].reserve(ready.raw(), occupancy, prune_before);
+        let floor = self.noc.floor().raw();
+        let start = self.memory_controllers[mc.index()].reserve(ready.raw(), occupancy, floor);
         Cycle::new(start)
     }
 }

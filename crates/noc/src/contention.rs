@@ -18,6 +18,18 @@
 //! transaction can reserve link time far in the future (e.g. after a memory
 //! fetch) without falsely delaying packets that depart earlier but are
 //! simulated later.
+//!
+//! ## The event floor
+//!
+//! The list stays short because the engine declares an *event floor*
+//! ([`ContentionModel::retire_before`]): it pops events in nondecreasing
+//! time order, and every packet of the popped event's access departs at or
+//! after that event's cycle. An interval ending at or before the floor can
+//! therefore never constrain a later probe, so each reservation first drops
+//! those intervals off the front of its calendar. The rule is exact — the
+//! set of busy cycles any permitted probe can observe is unchanged — and
+//! debug builds assert it on every send. A model whose floor is never
+//! declared prunes nothing and keeps exact, unbounded calendars.
 
 use crate::packet::Packet;
 use crate::stats::NocStats;
@@ -27,11 +39,6 @@ use consim_trace::{EventClass, TraceEvent, TraceSink};
 use consim_types::{Cycle, SimError};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Busy intervals older than this (relative to the latest departure seen)
-/// are pruned; the engine's event skew is bounded by one transaction
-/// latency, far below this horizon.
-const PRUNE_HORIZON: u64 = 100_000;
 
 /// A reservation calendar: non-overlapping `(start, end)` busy intervals
 /// sorted by start, with abutting intervals coalesced.
@@ -51,9 +58,9 @@ const PRUNE_HORIZON: u64 = 100_000;
 ///   but the back-to-back queueing the engine produces under load collapses
 ///   into a handful of intervals instead of one per packet, which is what
 ///   kept the old formulation's linear scans hot.
-/// * The store is a ring buffer, so pruning expired intervals off the front
-///   costs only the intervals dropped — not a shift of everything behind
-///   them on every reservation.
+/// * The store is a ring buffer, so retiring intervals that end at or
+///   before the caller's floor costs only the intervals dropped — not a
+///   shift of everything behind them on every reservation.
 ///
 /// # Examples
 ///
@@ -92,14 +99,28 @@ impl ReservationCalendar {
         t
     }
 
-    /// Reserves the earliest `busy`-cycle slot at or after `ready`; returns
-    /// its start. Intervals ending before `prune_before` are dropped.
-    pub fn reserve(&mut self, ready: u64, busy: u64, prune_before: u64) -> u64 {
-        // Prune stale intervals from the front (ends are sorted).
-        let keep_from = self.intervals.partition_point(|&(_, e)| e < prune_before);
+    /// Drops every interval ending at or before `floor` (ends are sorted,
+    /// so they form a prefix).
+    fn retire(&mut self, floor: u64) {
+        let keep_from = self.first_constraining(floor);
         if keep_from > 0 {
             self.intervals.drain(..keep_from);
         }
+    }
+
+    /// Reserves the earliest `busy`-cycle slot at or after `ready`; returns
+    /// its start.
+    ///
+    /// `floor` is the caller's promise that no request, this one included,
+    /// is ever ready before it; intervals ending at or before it can no
+    /// longer constrain anything and are dropped first. Pass 0 to keep
+    /// every interval.
+    pub fn reserve(&mut self, ready: u64, busy: u64, floor: u64) -> u64 {
+        debug_assert!(
+            ready >= floor,
+            "reservation ready at {ready} below floor {floor}"
+        );
+        self.retire(floor);
         let start = self.probe(ready, busy);
         let end = start + busy;
         // `probe` guarantees [start, end) overlaps nothing, so the
@@ -144,8 +165,9 @@ pub struct ContentionModel {
     links: Vec<ReservationCalendar>,
     /// Total busy cycles per link, for utilization reporting.
     link_busy: Vec<u64>,
-    /// Latest departure time seen (drives interval pruning).
-    latest_depart: u64,
+    /// The event floor: no send departs before it (see the
+    /// [module docs](self)). Zero until declared, which prunes nothing.
+    floor: u64,
     stats: NocStats,
     /// Optional trace sink for per-packet contention-stall events.
     trace: Option<Arc<dyn TraceSink>>,
@@ -160,7 +182,7 @@ impl ContentionModel {
             router_pipeline,
             links: vec![ReservationCalendar::default(); mesh.num_link_slots()],
             link_busy: vec![0; mesh.num_link_slots()],
-            latest_depart: 0,
+            floor: 0,
             stats: NocStats::default(),
             trace: None,
         }
@@ -178,15 +200,38 @@ impl ContentionModel {
         &self.mesh
     }
 
+    /// Declares the event floor: no later [`send`](Self::send) departs
+    /// before `cycle`. Each link calendar a send touches then drops the
+    /// intervals ending at or before it, which cannot constrain any
+    /// departure the caller still makes. The floor never falls (only
+    /// [`reset`](Self::reset) clears it).
+    pub fn retire_before(&mut self, cycle: Cycle) {
+        debug_assert!(
+            cycle.raw() >= self.floor,
+            "event floor fell from {} to {cycle}",
+            self.floor
+        );
+        self.floor = cycle.raw();
+    }
+
+    /// The declared event floor ([`Cycle::ZERO`] until declared).
+    pub fn floor(&self) -> Cycle {
+        Cycle::new(self.floor)
+    }
+
     /// Sends `packet` at `depart`; returns the cycle its tail flit arrives.
     ///
     /// Reserves link time along the packet's XY path, so other packets
-    /// through the same links observe queueing delay.
+    /// through the same links observe queueing delay. `depart` must not
+    /// precede the declared floor ([`retire_before`](Self::retire_before)).
     pub fn send(&mut self, packet: &Packet, depart: Cycle) -> Cycle {
+        debug_assert!(
+            depart.raw() >= self.floor,
+            "packet departs at {depart}, below the event floor {}",
+            self.floor
+        );
         let flits = packet.flits() as u64;
         self.stats.injected += 1;
-        self.latest_depart = self.latest_depart.max(depart.raw());
-        let prune_before = self.latest_depart.saturating_sub(PRUNE_HORIZON);
         if packet.src == packet.dst {
             // Local delivery still pays one router traversal.
             let arrival = depart + self.router_pipeline;
@@ -203,7 +248,7 @@ impl ContentionModel {
             // Head waits for the router pipeline, then for a link slot.
             let ready = (head + self.router_pipeline).raw();
             let busy = flits * self.link_latency;
-            let start = self.links[link].reserve(ready, busy, prune_before);
+            let start = self.links[link].reserve(ready, busy, self.floor);
             stall_cycles += start - ready;
             self.link_busy[link] += busy;
             head = Cycle::new(start + self.link_latency);
@@ -293,7 +338,7 @@ impl ContentionModel {
             link.intervals.clear();
         }
         self.link_busy.fill(0);
-        self.latest_depart = 0;
+        self.floor = 0;
         self.stats = NocStats::default();
     }
 }
@@ -319,11 +364,13 @@ impl Snapshot for ReservationCalendar {
     }
 }
 
+/// The event floor is not saved: it is a promise about the caller's future
+/// sends, and the engine re-declares it before the first send after a
+/// resume. Pruning already applied is part of the saved calendars.
 impl Snapshot for ContentionModel {
     fn save(&self, w: &mut SectionBuf) {
         consim_snap::save_items(w, &self.links);
         w.put_u64_slice(&self.link_busy);
-        w.put_u64(self.latest_depart);
         self.stats.save(w);
     }
 
@@ -341,7 +388,6 @@ impl Snapshot for ContentionModel {
             ));
         }
         self.link_busy = busy;
-        self.latest_depart = r.get_u64()?;
         self.stats.restore(r)
     }
 }
@@ -459,19 +505,77 @@ mod tests {
 
     #[test]
     fn pruning_bounds_calendar_growth() {
-        let mut noc = model();
         let p = Packet::data(NodeId::new(0), NodeId::new(1));
+        let mut floored = model();
+        let mut unbounded = model();
         for i in 0..50_000u64 {
-            noc.send(&p, Cycle::new(i * 20));
+            let depart = Cycle::new(i * 20);
+            floored.retire_before(depart);
+            assert_eq!(floored.send(&p, depart), unbounded.send(&p, depart));
         }
-        let link = noc
+        // Each send's interval ends before the next departure, so only the
+        // newest survives the floor; without a floor nothing is dropped.
+        let link = floored
             .mesh
             .link_index(NodeId::new(0), crate::topology::Direction::East);
-        assert!(
-            noc.links[link].intervals.len() < PRUNE_HORIZON as usize / 10,
-            "calendar must stay bounded: {}",
-            noc.links[link].intervals.len()
-        );
+        assert_eq!(floored.links[link].intervals.len(), 1);
+        assert_eq!(unbounded.links[link].intervals.len(), 50_000);
+    }
+
+    /// Replays `ops` random out-of-order reservations against two
+    /// calendars: one retiring intervals at a rising floor plus `slack`,
+    /// one never pruned. Every request is ready at or after the floor, and
+    /// `ready == floor` is common: that is where a floor that retires too
+    /// much shows. The load stays below saturation, so intervals keep
+    /// ending just past the floor. Returns the first op whose starts
+    /// differ, and the largest pruned calendar seen.
+    fn floor_pruning_divergence(seed: u64, ops: usize, slack: u64) -> (Option<usize>, usize) {
+        let mut rng = consim_types::SimRng::from_seed(seed);
+        let mut pruned = ReservationCalendar::default();
+        let mut exact = ReservationCalendar::default();
+        let mut floor = 0u64;
+        let mut depth = 0;
+        for op in 0..ops {
+            floor += rng.below(8);
+            let ready = if rng.chance(0.3) {
+                floor
+            } else {
+                floor + rng.below(60)
+            };
+            let busy = 1 + rng.below(4);
+            // The planted slack prunes the way `reserve` would at a later
+            // floor; `reserve` then applies the declared one.
+            pruned.retire(floor + slack);
+            let got = pruned.reserve(ready, busy, floor);
+            let want = exact.reserve(ready, busy, 0);
+            depth = depth.max(pruned.intervals.len());
+            if got != want {
+                return (Some(op), depth);
+            }
+        }
+        (None, depth)
+    }
+
+    #[test]
+    fn floor_pruning_matches_unpruned_calendar() {
+        for seed in 0..32 {
+            let (diverged, depth) = floor_pruning_divergence(seed, 5_000, 0);
+            assert_eq!(diverged, None, "seed {seed}: pruned calendar diverged");
+            // Only intervals reaching past the floor survive: ready times
+            // span 60 cycles above it, so a few dozen at most.
+            assert!(depth < 100, "seed {seed}: calendar grew to {depth}");
+        }
+    }
+
+    #[test]
+    fn pruning_one_cycle_past_the_floor_is_detected() {
+        // The planted mutation retires intervals ending at `floor + 1`;
+        // one of them can still hold the cycle a request ready at the
+        // floor wants, so the pruned calendar must hand out a wrong start.
+        for seed in 0..32 {
+            let (diverged, _) = floor_pruning_divergence(seed, 5_000, 1);
+            assert!(diverged.is_some(), "seed {seed}: mutation went unnoticed");
+        }
     }
 
     #[test]
@@ -510,7 +614,7 @@ mod tests {
         let mut buf = SectionBuf::new();
         noc.save(&mut buf);
         let mut back = model();
-        back.restore(&mut SectionReader::new("noc", buf.as_bytes()))
+        back.restore(&mut SectionReader::new("noc-calendars", buf.as_bytes()))
             .unwrap();
         assert_eq!(back.stats().packets, noc.stats().packets);
         assert_eq!(
@@ -538,7 +642,7 @@ mod tests {
         noc.save(&mut buf);
         let mut other = ContentionModel::new(Mesh::new(2, 2).unwrap(), 1, 3);
         let err = other
-            .restore(&mut SectionReader::new("noc", buf.as_bytes()))
+            .restore(&mut SectionReader::new("noc-calendars", buf.as_bytes()))
             .unwrap_err();
         assert!(err.to_string().contains("items"), "{err}");
     }
